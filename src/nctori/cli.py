@@ -18,7 +18,8 @@ Entries are exact: `a/b`, `c/d*rt`, or `a/b+c/d*rt` (also with `-`), where
 
 Exit codes: 0 success (Unknown verdicts included), 1 parse error,
 2 invariant violation, 3 verification failure.  The environment variable
-SEARCH_HEIGHT overrides the bounded mu-search height (default 20).
+SEARCH_HEIGHT (a nonnegative integer) overrides the bounded mu-search height
+(default 20).
 """
 
 from __future__ import annotations
@@ -34,12 +35,11 @@ from .exactlin import Scalar
 from .invariants import (
     DEFAULT_SEARCH_HEIGHT,
     Verdict,
-    degeneracy_subgroup,
     k_group_ranks,
     morita_equivalent,
     trace_range,
 )
-from .reduction import SkewMatrix, canonical_form
+from .reduction import SkewMatrix, canonical_form, degeneracy_subgroup
 from .twisted import (
     Bicharacter,
     FgGroup,
@@ -74,17 +74,20 @@ def format_scalar(x: Scalar) -> str:
 
 def parse_entry(text: str, d: int | None, line: int) -> Scalar:
     rat = quad = Fraction(0)
-    if m := _PURE_RAT.match(text):
-        rat = Fraction(m.group("rat"))
-    elif m := _PURE_QUAD.match(text):
-        quad = Fraction(m.group("quad"))
-    elif m := _BOTH.match(text):
-        rat = Fraction(m.group("rat"))
-        quad = Fraction(m.group("quad"))
-        if m.group("sign") == "-":
-            quad = -quad
-    else:
-        raise ProblemSyntaxError(line, f"cannot parse entry {text!r}")
+    try:
+        if m := _PURE_RAT.match(text):
+            rat = Fraction(m.group("rat"))
+        elif m := _PURE_QUAD.match(text):
+            quad = Fraction(m.group("quad"))
+        elif m := _BOTH.match(text):
+            rat = Fraction(m.group("rat"))
+            quad = Fraction(m.group("quad"))
+            if m.group("sign") == "-":
+                quad = -quad
+        else:
+            raise ProblemSyntaxError(line, f"cannot parse entry {text!r}")
+    except ZeroDivisionError:
+        raise ProblemSyntaxError(line, f"zero denominator in entry {text!r}")
     if quad and d is None:
         raise ProblemSyntaxError(line, "entry uses rt but the field is rational")
     return Scalar(rat, quad, d if quad else None)
@@ -214,9 +217,12 @@ def _search_height() -> int:
     if raw is None:
         return DEFAULT_SEARCH_HEIGHT
     try:
-        return int(raw)
+        height = int(raw)
     except ValueError:
         raise ProblemSyntaxError(0, f"bad SEARCH_HEIGHT value {raw!r}")
+    if height < 0:
+        raise ProblemSyntaxError(0, f"SEARCH_HEIGHT must be nonnegative, got {raw!r}")
+    return height
 
 
 def cmd_canon(args) -> int:
@@ -257,11 +263,8 @@ def cmd_invariants(args) -> int:
         print(f"center-torsion {math.prod(torsion)}")
     print(f"k0-rank {k0}")
     print(f"k1-rank {k1}")
-    if rng is None:
-        print("trace-range unsupported")
-    else:
-        print(f"trace-range-rank {rng.rank}")
-        print("trace-range-basis " + "; ".join(format_scalar(b) for b in rng.basis))
+    print(f"trace-range-rank {rng.rank}")
+    print("trace-range-basis " + "; ".join(format_scalar(b) for b in rng.basis))
     return EXIT_OK
 
 

@@ -300,20 +300,18 @@ def _swap_col(mat, j, t):
         row[j], row[t] = row[t], row[j]
 
 
-def hnf(rows) -> tuple[list[list[int]], list[list[int]]]:
-    """Row Hermite normal form.
+def _hermite(mat, ncols: int):
+    """Row Hermite normal form of the first ncols columns, in place.
 
-    Returns (H, U) with U unimodular and U @ M = H.  Pivots are positive,
-    entries above each pivot are reduced into [0, pivot), and zero rows sink
-    to the bottom.  Pivot selection: smallest absolute value, lowest row
-    index on ties, which makes the transform deterministic.
+    Row operations act on whole rows, so columns past ncols (an appended
+    identity block, say) record the transform.  Pivots are positive, entries
+    above each pivot are reduced into [0, pivot), and zero rows sink to the
+    bottom.  Pivot selection: smallest absolute value, lowest row index on
+    ties, which makes the result deterministic.  Returns mat.
     """
-    mat = [list(map(int, r)) for r in rows]
     m = len(mat)
-    n = len(mat[0]) if m else 0
-    u = mat_identity(m)
     r = 0
-    for col in range(n):
+    for col in range(ncols):
         if r == m:
             break
         piv = -1
@@ -328,14 +326,12 @@ def hnf(rows) -> tuple[list[list[int]], list[list[int]]]:
                 break
             if piv != r:
                 mat[r], mat[piv] = mat[piv], mat[r]
-                u[r], u[piv] = u[piv], u[r]
             clean = True
             for i in range(r + 1, m):
                 if mat[i][col]:
                     q = mat[i][col] // mat[r][col]
                     if q:
                         _sub_row(mat, i, r, q)
-                        _sub_row(u, i, r, q)
                     if mat[i][col]:
                         clean = False
             if clean:
@@ -345,15 +341,26 @@ def hnf(rows) -> tuple[list[list[int]], list[list[int]]]:
             continue
         if mat[r][col] < 0:
             mat[r] = [-x for x in mat[r]]
-            u[r] = [-x for x in u[r]]
         p = mat[r][col]
         for i in range(r):
             q = mat[i][col] // p
             if q:
                 _sub_row(mat, i, r, q)
-                _sub_row(u, i, r, q)
         r += 1
-    return mat, u
+    return mat
+
+
+def hnf(rows) -> tuple[list[list[int]], list[list[int]]]:
+    """Row Hermite normal form with its transform.
+
+    Returns (H, U) with U unimodular and U @ M = H, read off the normal form
+    of [M | I]; see :func:`_hermite` for the normalization and pivot rule.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    aug = [[int(x) for x in r] + [int(i == j) for j in range(m)] for i, r in enumerate(rows)]
+    _hermite(aug, n)
+    return [r[:n] for r in aug], [r[n:] for r in aug]
 
 
 def snf(rows) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
@@ -427,7 +434,10 @@ def snf(rows) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
 
 
 def int_inverse_unimodular(rows) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix."""
+    """Exact inverse of a unimodular integer matrix.
+
+    The HNF of a unimodular M is I, so its transform is M^-1.
+    """
     n = len(rows)
     h, u = hnf(rows)
     if h != mat_identity(n):
@@ -457,8 +467,7 @@ def reduce_mod_rows(vec, rows) -> list[int]:
     v = list(vec)
     if not rows:
         return v
-    h, _ = hnf(rows)
-    for row in h:
+    for row in _hermite([list(map(int, r)) for r in rows], len(rows[0])):
         if not any(row):
             continue
         p = next(j for j, x in enumerate(row) if x)
@@ -523,13 +532,8 @@ class IntLattice:
                     f"row of length {len(r)} in ambient Z^{ambient_dim}"
                 )
             cleaned.append(r)
-        if cleaned:
-            h, _ = hnf(cleaned)
-            basis = tuple(tuple(r) for r in h if any(r))
-        else:
-            basis = ()
         self.ambient_dim = ambient_dim
-        self.basis = basis
+        self.basis = tuple(tuple(r) for r in _hermite(cleaned, ambient_dim) if any(r))
 
     @property
     def rank(self) -> int:
@@ -658,10 +662,6 @@ def smat(rows) -> list[list[Scalar]]:
     return [[Scalar.of(x) for x in r] for r in rows]
 
 
-def smat_identity(n: int) -> list[list[Scalar]]:
-    return [[Scalar(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
 def smat_transpose(rows) -> list[list[Scalar]]:
     return [list(col) for col in zip(*rows)] if rows else []
 
@@ -688,61 +688,65 @@ def smat_mul(a, b) -> list[list[Scalar]]:
     return out
 
 
+def _echelon(a, ncols: int) -> tuple[int, int]:
+    """Gaussian elimination over Q(sqrt d) on the first ncols columns, in place.
+
+    The pivot of a column is its first nonzero entry at or below the current
+    row; row operations act on whole rows, so columns past ncols ride along.
+    Returns (rank, sign of the row permutation); pivots of a full-rank square
+    block end up on its diagonal.
+    """
+    m = len(a)
+    rank = 0
+    sign = 1
+    for col in range(ncols):
+        if rank == m:
+            break
+        piv = next((i for i in range(rank, m) if a[i][col]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            sign = -sign
+        inv = a[rank][col].inverse()
+        # entries left of col are zero in every row from rank down
+        for i in range(rank + 1, m):
+            if a[i][col]:
+                f = a[i][col] * inv
+                a[i][col:] = [x - f * y for x, y in zip(a[i][col:], a[rank][col:])]
+        rank += 1
+    return rank, sign
+
+
 def smat_det(rows) -> Scalar:
     """Exact determinant over Q(sqrt d), by Gaussian elimination."""
     n = len(rows)
     a = smat(rows)
-    det = Scalar(1)
+    rank, sign = _echelon(a, n)
+    if rank < n:
+        return Scalar(0)
+    det = Scalar(sign)
     for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return Scalar(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
         det = det * a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k]:
-                f = a[i][k] / a[k][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
     return det
+
 
 def smat_rank(rows) -> int:
     a = smat(rows)
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rank = 0
-    col = 0
-    while rank < m and col < n:
-        piv = next((i for i in range(rank, m) if a[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        for i in range(rank + 1, m):
-            if a[i][col]:
-                f = a[i][col] / a[rank][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return _echelon(a, len(a[0]) if a else 0)[0]
 
 
 def smat_inv(rows) -> list[list[Scalar]]:
     """Exact inverse over Q(sqrt d); raises ValueError on singular input."""
     n = len(rows)
-    a = smat(rows)
-    aug = [a[i] + smat_identity(n)[i] for i in range(n)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if aug[i][k]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        if piv != k:
-            aug[k], aug[piv] = aug[piv], aug[k]
+    aug = [r + [Scalar(int(i == j)) for j in range(n)] for i, r in enumerate(smat(rows))]
+    if _echelon(aug, n)[0] < n:
+        raise ValueError("singular matrix")
+    for k in reversed(range(n)):
         inv = aug[k][k].inverse()
-        aug[k] = [x * inv for x in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k]:
+        aug[k][k:] = [x * inv for x in aug[k][k:]]
+        for i in range(k):
+            if aug[i][k]:
                 f = aug[i][k]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
+                aug[i][k:] = [x - f * y for x, y in zip(aug[i][k:], aug[k][k:])]
     return [row[n:] for row in aug]

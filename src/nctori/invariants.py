@@ -10,18 +10,17 @@ the same torus dimension.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlin import (
     IncompatibleField,
+    IntLattice,
     Scalar,
-    hnf,
+    _lcm_denoms,
     integral_solution_lattice,
 )
-from .reduction import SkewMatrix
-from .reduction import degeneracy_subgroup as _degeneracy_subgroup
+from .reduction import SkewMatrix, degeneracy_subgroup
 
 DEFAULT_SEARCH_HEIGHT = 20
 
@@ -58,8 +57,8 @@ class Verdict:
         return cls(kind="not-equivalent", reason=reason, detail=detail)
 
     @classmethod
-    def unknown(cls, bound: int, detail: str | None = None) -> "Verdict":
-        return cls(kind="unknown", bound=bound, detail=detail)
+    def unknown(cls, bound: int) -> "Verdict":
+        return cls(kind="unknown", bound=bound)
 
     @property
     def is_equivalent(self) -> bool:
@@ -68,11 +67,6 @@ class Verdict:
     @property
     def is_unknown(self) -> bool:
         return self.kind == "unknown"
-
-
-def degeneracy_subgroup(theta: SkewMatrix):
-    """{x in Z^n : x @ theta in Z^n}; its rank is the center's torus dimension."""
-    return _degeneracy_subgroup(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -137,113 +131,79 @@ def pfaffian_from_matchings(skew: SkewMatrix) -> Scalar:
 # trace ranges
 
 
-def _subgroup_key(gens):
-    """Canonical (d, denom, rows) presentation of the subgroup of R generated
-    by exact scalars: coordinates over {1, sqrt(d)} with one positive common
-    denominator, row basis in HNF, content coprime to the denominator."""
-    gens = [Scalar.of(g) for g in gens]
-    ds = {g.d for g in gens if g.d is not None}
-    if len(ds) > 1:
-        raise IncompatibleField(f"generators mix quadratic fields {sorted(ds)}")
-    d = ds.pop() if ds else None
-    nonzero = [g for g in gens if g]
-    if not nonzero:
-        return (None, 1, ())
-    denom = 1
-    for g in nonzero:
-        for f in (g.rat, g.quad):
-            denom = denom * f.denominator // math.gcd(denom, f.denominator)
-    rows = [[int(g.rat * denom), int(g.quad * denom)] for g in nonzero]
-    h, _ = hnf(rows)
-    rows = [r for r in h if any(r)]
-    content = denom
-    for r in rows:
-        for x in r:
-            content = math.gcd(content, x)
-    if content > 1:
-        denom //= content
-        rows = [[x // content for x in r] for r in rows]
-    if all(r[1] == 0 for r in rows):
-        d = None
-    return (d, denom, tuple(tuple(r) for r in rows))
-
-
-def _key_scalars(key) -> list[Scalar]:
-    d, denom, rows = key
-    return [Scalar(Fraction(a, denom), Fraction(b, denom), d if b else None) for a, b in rows]
-
-
-def _key_contains(key, x: Scalar) -> bool:
-    d, denom, rows = key
-    if x.quad and x.d != d:
-        return False
-    ca, cb = x.rat * denom, x.quad * denom
-    if ca.denominator != 1 or cb.denominator != 1:
-        return False
-    v = [int(ca), int(cb)]
-    for row in rows:
-        p = 0 if row[0] else 1
-        if row[p] == 0:
-            continue
-        if v[p] % row[p]:
-            return False
-        c = v[p] // row[p]
-        v = [x0 - c * y0 for x0, y0 in zip(v, row)]
-    return not any(v)
-
-
 class TraceRange:
     """A finitely generated subgroup of R containing 1, held canonically.
 
-    Elements are (a + b sqrt(d)) / denom with (a, b) running over an HNF row
-    lattice; the representation is unique for the subgroup, so equality of
-    trace ranges is representation equality.
+    Elements are (a + b sqrt(d)) / denom with (a, b) running over an integer
+    lattice in Z^2; denom is the least common denominator of the generators'
+    coordinates over {1, sqrt(d)}, and d is None for a rational range.  The
+    representation is unique for the subgroup, so equality of trace ranges
+    is representation equality.
     """
 
-    __slots__ = ("d", "denom", "coord_rows")
+    __slots__ = ("d", "denom", "lattice")
 
     def __init__(self, generators):
-        d, denom, rows = _subgroup_key(generators)
-        if not rows:
+        gens = [Scalar.of(g) for g in generators]
+        ds = {g.d for g in gens if g.d is not None}
+        if len(ds) > 1:
+            raise IncompatibleField(f"generators mix quadratic fields {sorted(ds)}")
+        # d is set only by a generator with quad != 0, so d is None exactly
+        # when the range is rational.
+        self.d = ds.pop() if ds else None
+        # Each prime p | denom leaves some scaled coordinate prime to p, so
+        # the lattice's content is prime to denom: no smaller denom exists.
+        self.denom = _lcm_denoms(f for g in gens for f in (g.rat, g.quad))
+        self.lattice = IntLattice(
+            2, [[int(g.rat * self.denom), int(g.quad * self.denom)] for g in gens]
+        )
+        if not self.lattice.rank:
             raise ValueError("a trace range needs a nonzero generator")
-        self.d = d
-        self.denom = denom
-        self.coord_rows = rows
-        if not _key_contains(self._key, Scalar(1)):
+        if not self.contains(1):
             raise ValueError("a trace range must contain 1")
 
     @property
-    def _key(self):
-        return (self.d, self.denom, self.coord_rows)
-
-    @property
     def basis(self) -> tuple[Scalar, ...]:
-        return tuple(_key_scalars(self._key))
+        return tuple(
+            Scalar(Fraction(a, self.denom), Fraction(b, self.denom), self.d if b else None)
+            for a, b in self.lattice.basis
+        )
 
     @property
     def rank(self) -> int:
-        return len(self.coord_rows)
+        return self.lattice.rank
 
     def contains(self, x) -> bool:
-        return _key_contains(self._key, Scalar.of(x))
+        x = Scalar.of(x)
+        if x.quad and x.d != self.d:
+            return False
+        ca, cb = x.rat * self.denom, x.quad * self.denom
+        if ca.denominator != 1 or cb.denominator != 1:
+            return False
+        return self.lattice.contains([ca.numerator, cb.numerator])
 
     def scaled_equals(self, mu, other: "TraceRange") -> bool:
-        """Exact test of mu * self == other as subgroups of R."""
+        """Exact test of mu * self == other as subgroups of R (mu != 0)."""
         mu = Scalar.of(mu)
-        return _subgroup_key([b * mu for b in self.basis]) == other._key
+        return all(other.contains(mu * b) for b in self.basis) and all(
+            self.contains(b / mu) for b in other.basis
+        )
 
     def covolume(self) -> Fraction:
         """Covolume of the coordinate lattice (rank-2 ranges only)."""
         assert self.rank == 2
-        rows = self.coord_rows
+        rows = self.lattice.basis
         det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
         return Fraction(abs(det), self.denom * self.denom)
 
+    def _key(self):
+        return (self.d, self.denom, self.lattice)
+
     def __eq__(self, other):
-        return isinstance(other, TraceRange) and self._key == other._key
+        return isinstance(other, TraceRange) and self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._key)
+        return hash(self._key())
 
     def __repr__(self):
         return f"TraceRange({[str(b) for b in self.basis]})"
@@ -272,7 +232,7 @@ def _lattice_conditions(l1: TraceRange, l2: TraceRange):
     """Rational 2x4 condition matrix N with x in the transporter
     {x : x * L1 <= L2} iff coord(x) @ N is integral."""
     d = l1.d
-    h2 = [[Fraction(x, l2.denom) for x in row] for row in l2.coord_rows]
+    h2 = [[Fraction(x, l2.denom) for x in row] for row in l2.lattice.basis]
     det = h2[0][0] * h2[1][1] - h2[0][1] * h2[1][0]
     h2_inv = [
         [h2[1][1] / det, -h2[0][1] / det],
@@ -328,10 +288,7 @@ def _transporter_basis(l1: TraceRange, l2: TraceRange):
         [n_cond[1][1] / det1, -n_cond[0][1] / det1],
         [-n_cond[1][0] / det1, n_cond[0][0] / det1],
     ]
-    dx = 1
-    for row in inv1:
-        for f in row:
-            dx = dx * f.denominator // math.gcd(dx, f.denominator)
+    dx = _lcm_denoms(f for row in inv1 for f in row)
     scaled = [[Scalar(f / dx) for f in row] for row in n_cond]
     lat = integral_solution_lattice(scaled, 4)
     assert lat.rank == 2, "the transporter of two full lattices has rank 2"
@@ -343,10 +300,10 @@ def _transporter_basis(l1: TraceRange, l2: TraceRange):
     return list(_lagrange_reduce(t1, t2))
 
 
-def _multiplier_order_key(l: TraceRange):
-    """Canonical presentation of {x : x * L <= L}, an order in Q(sqrt d);
-    it is invariant under scaling L, so differing orders rule out any mu."""
-    return _subgroup_key(_transporter_basis(l, l))
+def _multiplier_order(l: TraceRange) -> TraceRange:
+    """{x : x * L <= L}, an order in Q(sqrt d) (so it contains 1); it is
+    invariant under scaling L, so differing orders rule out any mu."""
+    return TraceRange(_transporter_basis(l, l))
 
 
 def _scaling_search(l1: TraceRange, l2: TraceRange, height: int) -> Scalar | None:
@@ -392,7 +349,7 @@ def range_equal_up_to_scaling(
         return Verdict.not_equivalent(
             REASON_RATIO_FIELD, f"ratio-field sqrt({l1.d}) vs sqrt({l2.d})"
         )
-    if _multiplier_order_key(l1) != _multiplier_order_key(l2):
+    if _multiplier_order(l1) != _multiplier_order(l2):
         return Verdict.not_equivalent(
             REASON_ORDER, "multiplier-order mismatch"
         )

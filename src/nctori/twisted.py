@@ -276,14 +276,19 @@ def simple_quotient(sigma: Bicharacter) -> Bicharacter:
     return out
 
 
-def _split_top_torsion(sigma: Bicharacter):
+def _split_top_torsion(sigma: Bicharacter) -> tuple[Bicharacter, int]:
     """One matrix-algebra splitting step for a nondegenerate pairing.
 
-    Take the torsion generator t of largest order m.  Nondegeneracy forces
-    some group element to pair with t through a primitive m-th root (the
-    gcd criterion below); compressing by a spectral projection of u_t turns
-    the algebra into M_m of the twisted algebra of ker(pairing with t)/<t>.
-    Returns (smaller bicharacter, m), or None when no partner exists.
+    Take the torsion generator t of largest order m and its character
+    chi_t = pairing(t, .), with values in the m-th roots of unity.  Its image
+    is all of them: if it had order m' < m, then m' t would pair trivially
+    with everything, contradicting nondegeneracy; this is the gcd criterion
+    below.  Compressing by a spectral projection of u_t turns the algebra
+    into M_m of the twisted algebra of K/<t>, K = ker chi_t, and that
+    pairing is again nondegenerate: if x in K pairs trivially with K, then
+    chi_x factors through G/K = Z/m, so chi_x = chi_t^k for some k,
+    x - k t lies in the kernel of the pairing on G, and x = k t.
+    Returns (smaller bicharacter, m).
     """
     group = sigma.group
     n = group.ngens
@@ -294,8 +299,7 @@ def _split_top_torsion(sigma: Bicharacter):
         v = m * sigma.exponents[t][i]
         assert v.is_integer()
         jvals.append(v.as_int() % m)
-    if math.gcd(*jvals, m) != 1:
-        return None
+    assert math.gcd(*jvals, m) == 1, "a nondegenerate pairing has a partner for t"
     kernel = integral_solution_lattice(
         [[Scalar(Fraction(j, m))] for j in jvals], 1
     )
@@ -304,8 +308,7 @@ def _split_top_torsion(sigma: Bicharacter):
     for row in relations:
         assert kernel.contains(row)
     out = _present_quotient(sigma, [list(b) for b in kernel.basis], relations)
-    if hsigma(out) != (0, ()):
-        return None
+    assert hsigma(out) == (0, ()), "splitting keeps the pairing nondegenerate"
     return out, m
 
 
@@ -323,9 +326,8 @@ def _skew_from_exponents(sigma: Bicharacter) -> SkewMatrix:
     return SkewMatrix(rows)
 
 
-def trace_range_tga(sigma: Bicharacter) -> TraceRange | None:
-    """Common image of K0 under the extremal traces, or None when the
-    torsion splitting fails (unsupported input).
+def trace_range_tga(sigma: Bicharacter) -> TraceRange:
+    """Common image of K0 under the extremal traces.
 
     Pipeline: pass to the simple quotient; split torsion generators off one
     at a time, each contributing a matrix-algebra factor that scales the
@@ -334,10 +336,7 @@ def trace_range_tga(sigma: Bicharacter) -> TraceRange | None:
     current = simple_quotient(sigma)
     multiplier = 1
     while current.group.torsion_orders:
-        step = _split_top_torsion(current)
-        if step is None:
-            return None
-        current, m = step
+        current, m = _split_top_torsion(current)
         multiplier *= m
     base = trace_range(_skew_from_exponents(current))
     if multiplier == 1:
@@ -352,8 +351,7 @@ def morita_equivalent_tga(
 
     Requires equal centers (rank and torsion size of the pairing kernel),
     compatible group ranks, and trace ranges agreeing up to a positive
-    factor; Unknown propagates from the bounded search or an unsupported
-    trace-range computation.
+    factor; Unknown propagates from the bounded search.
     """
     r1, tor1 = hsigma(sigma1)
     r2, tor2 = hsigma(sigma2)
@@ -367,8 +365,6 @@ def morita_equivalent_tga(
     g1, g2 = sigma1.group.free_rank, sigma2.group.free_rank
     if not (g1 == g2 or g1 + g2 == 1):
         return Verdict.not_equivalent(REASON_DIMENSION, f"group-rank {g1} vs {g2}")
-    t1 = trace_range_tga(sigma1)
-    t2 = trace_range_tga(sigma2)
-    if t1 is None or t2 is None:
-        return Verdict.unknown(height, detail="trace range unsupported")
-    return range_equal_up_to_scaling(t1, t2, height)
+    return range_equal_up_to_scaling(
+        trace_range_tga(sigma1), trace_range_tga(sigma2), height
+    )

@@ -138,6 +138,12 @@ class TestCommands:
         bad.write_text("kind torus\nfield rational\ndim 1\nrow x\n")
         assert main(["decide", str(bad), str(bad)]) == EXIT_PARSE
 
+    def test_zero_denominator_exit(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("kind torus\nfield rational\ndim 2\nrow 0 1/0\nrow -1/0 0\n")
+        assert main(["invariants", str(bad)]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("parse error: line 4: ")
+
     def test_invariant_violation_exit(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("kind torus\nfield rational\ndim 2\nrow 0 1\nrow 1 0\n")
@@ -161,6 +167,14 @@ class TestCommands:
         monkeypatch.setenv("SEARCH_HEIGHT", "3")
         assert main(["decide", str(a), str(b)]) == EXIT_OK
         assert capsys.readouterr().out == "UNKNOWN search-height=3\n"
+
+    def test_negative_search_height_exit(self, capsys, monkeypatch):
+        f = str(PROBLEMS / "three_torus_m5.txt")
+        monkeypatch.setenv("SEARCH_HEIGHT", "-5")
+        assert main(["decide", f, f]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: ")
 
     def test_outputs_deterministic(self, capsys):
         f1 = str(PROBLEMS / "three_torus_m5.txt")

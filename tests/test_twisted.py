@@ -12,6 +12,7 @@ from nctori.twisted import (
     Bicharacter,
     FgGroup,
     InvalidBicharacter,
+    _split_top_torsion,
     hsigma,
     k_group_ranks_tga,
     morita_equivalent_tga,
@@ -397,6 +398,35 @@ class TestTraceRangeTga:
     def test_rational_torus_consistency(self):
         th = SkewMatrix([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]])
         assert trace_range_tga(Bicharacter.from_skew(th)) == trace_range(th)
+
+    def test_splitting_always_succeeds(self):
+        # every nondegenerate pairing splits down to a torsion-free group;
+        # a finite one has order the square of the matrix size it splits off
+        rng = random.Random(31)
+        chains = [(), (2,), (4,), (6,), (2, 2), (2, 4), (3, 3), (2, 6),
+                  (2, 4, 8), (6, 6, 6), (2, 2, 2, 2)]
+        for _ in range(300):
+            group = FgGroup(rng.randint(0, 2), rng.choice(chains))
+            orders = group.generator_orders()
+            n = group.ngens
+            rows = [[Scalar(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    oi, oj = orders[i], orders[j]
+                    q = math.gcd(oi, oj) if oi and oj else oi or oj
+                    v = Scalar(Fraction(rng.randint(-5, 5), q or rng.randint(1, 6)))
+                    if not q and rng.random() < 0.4:
+                        v = v + rng.randint(1, 3) * RT2
+                    rows[i][j], rows[j][i] = v, -v
+            current = simple_quotient(Bicharacter(group, rows))
+            size = current.group.torsion_size if not current.group.free_rank else None
+            multiplier = 1
+            while current.group.torsion_orders:
+                current, m = _split_top_torsion(current)
+                multiplier *= m
+            assert hsigma(current) == (0, ())
+            if size is not None:
+                assert size == multiplier * multiplier
 
 
 class TestMoritaTga:
