@@ -12,6 +12,7 @@ Everything here is pure: no function mutates its arguments.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -24,15 +25,25 @@ class NotADirectSummand(ValueError):
     """A lattice that was required to be saturated is not."""
 
 
+@functools.cache
 def _is_squarefree(d: int) -> bool:
+    """True when d >= 2 has no square factor > 1.
+
+    Trial division runs only while k^3 <= d, dividing out each prime k
+    found.  The cofactor left then has no prime factor below k and is less
+    than k^3, so it is 1, p, p*q or p^2: it has a square factor exactly when
+    it is a perfect square > 1.  Cached, since every irrational Scalar asks.
+    """
     if d < 2:
         return False
     k = 2
-    while k * k <= d:
-        if d % (k * k) == 0:
-            return False
+    while k * k * k <= d:
+        if d % k == 0:
+            d //= k
+            if d % k == 0:
+                return False
         k += 1
-    return True
+    return d == 1 or math.isqrt(d) ** 2 != d
 
 
 class Scalar:

@@ -9,7 +9,7 @@ the same torus dimension.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,28 +73,65 @@ class Verdict:
 # Pfaffians
 
 
+def _subset_pfaffians(theta: SkewMatrix):
+    """Pfaffians of every even principal submatrix of theta, as integer pairs.
+
+    Returns (d, D, pf).  D is the lcm of the entries' denominators, so D*theta
+    has entries a + b sqrt(d) with integers a, b (d is None when theta is
+    rational).  A subset S of {0..n-1} is the bitmask with bit i set for i in
+    S; for |S| = 2k, pf[mask] = (a, b) with Pf(theta_S) = (a + b sqrt d) / D^k,
+    and pf[mask] is None for odd |S|.
+
+    One pass over the masks in increasing order expands each along its
+    lowest index i0: Pf(S) = sum over j in S, j > i0, of
+    (-1)^(pos(j) - 1) * theta[i0][j] * Pf(S - {i0, j}), with pos(j) the number
+    of elements of S below j.  Both smaller masks come earlier, so every
+    subset is evaluated once: O(n 2^n) products of integer pairs.
+    """
+    entries = [x for row in theta.rows for x in row]
+    fields = {x.d for x in entries if x.d is not None}
+    if len(fields) > 1:
+        raise IncompatibleField(f"entries mix quadratic fields {sorted(fields)}")
+    d = fields.pop() if fields else None
+    sq = d or 0  # (sqrt d)^2; every b is 0 when theta is rational
+    D = _lcm_denoms(f for x in entries for f in (x.rat, x.quad))
+    # upper[i]: (bit of j, a, b) for each nonzero entry D*theta[i][j] with j > i
+    upper = [
+        [(1 << j, int(x.rat * D), int(x.quad * D)) for j, x in enumerate(row) if j > i and x]
+        for i, row in enumerate(theta.rows)
+    ]
+    pf = [None] * (1 << theta.n)
+    pf[0] = (1, 0)
+    for mask in range(1, len(pf)):
+        if mask.bit_count() & 1:
+            continue
+        low = mask & -mask
+        rest = mask ^ low
+        a = b = 0
+        for bit, x, y in upper[low.bit_length() - 1]:
+            if not rest & bit:
+                continue
+            u, v = pf[rest ^ bit]
+            p, q = x * u + sq * y * v, x * v + y * u
+            # the sign is + when an even number of elements of S lie
+            # strictly between i0 and j
+            if (rest & (bit - 1)).bit_count() & 1:
+                a, b = a - p, b - q
+            else:
+                a, b = a + p, b + q
+        pf[mask] = (a, b)
+    return d, D, pf
+
+
 def pfaffian(skew: SkewMatrix) -> Scalar:
-    """Pfaffian by recursive expansion along the first row."""
+    """Pfaffian: the full-mask entry of the subset recursion
+    (:func:`_subset_pfaffians`), so O(n 2^n) work."""
     if skew.n % 2:
         raise ValueError("pfaffian needs an even-dimensional matrix")
-    return _pf_rec(skew.rows, list(range(skew.n)))
-
-
-def _pf_rec(rows, idx) -> Scalar:
-    if not idx:
-        return Scalar(1)
-    i0 = idx[0]
-    total = Scalar(0)
-    sign = 1
-    for pos in range(1, len(idx)):
-        j = idx[pos]
-        val = rows[i0][j]
-        if val:
-            rest = idx[1:pos] + idx[pos + 1:]
-            term = val * _pf_rec(rows, rest)
-            total = total + (term if sign > 0 else -term)
-        sign = -sign
-    return total
+    d, D, pf = _subset_pfaffians(skew)
+    a, b = pf[-1]
+    den = D ** (skew.n // 2)
+    return Scalar(Fraction(a, den), Fraction(b, den), d)
 
 
 def _matchings(elems):
@@ -148,15 +185,31 @@ class TraceRange:
         ds = {g.d for g in gens if g.d is not None}
         if len(ds) > 1:
             raise IncompatibleField(f"generators mix quadratic fields {sorted(ds)}")
+        denom = _lcm_denoms(f for g in gens for f in (g.rat, g.quad))
         # d is set only by a generator with quad != 0, so d is None exactly
         # when the range is rational.
-        self.d = ds.pop() if ds else None
-        # Each prime p | denom leaves some scaled coordinate prime to p, so
-        # the lattice's content is prime to denom: no smaller denom exists.
-        self.denom = _lcm_denoms(f for g in gens for f in (g.rat, g.quad))
-        self.lattice = IntLattice(
-            2, [[int(g.rat * self.denom), int(g.quad * self.denom)] for g in gens]
+        self._set(
+            ds.pop() if ds else None,
+            denom,
+            [(int(g.rat * denom), int(g.quad * denom)) for g in gens],
         )
+
+    @classmethod
+    def _from_coords(cls, d, common: int, coords) -> "TraceRange":
+        """The range generated by the (a + b sqrt d) / common over (a, b) in
+        coords; common may be any common denominator, not only the least."""
+        self = cls.__new__(cls)
+        self._set(d, common, coords)
+        return self
+
+    def _set(self, d, common: int, coords) -> None:
+        # After dividing common and every coordinate by their gcd g, each
+        # prime p | denom misses some coordinate, whose fraction keeps all of
+        # p's power in denom: denom is the least common denominator.
+        g = math.gcd(common, *(x for pair in coords for x in pair))
+        self.d = d
+        self.denom = common // g
+        self.lattice = IntLattice(2, [(a // g, b // g) for a, b in coords])
         if not self.lattice.rank:
             raise ValueError("a trace range needs a nonzero generator")
         if not self.contains(1):
@@ -211,12 +264,21 @@ class TraceRange:
 
 def trace_range(theta: SkewMatrix) -> TraceRange:
     """Subgroup of R generated by 1 and the Pfaffians of the even-sized
-    principal submatrices of theta (the image of K0 under the trace)."""
-    gens = [Scalar(1)]
-    for size in range(2, theta.n + 1, 2):
-        for idx in itertools.combinations(range(theta.n), size):
-            gens.append(pfaffian(theta.submatrix(idx)))
-    return TraceRange(gens)
+    principal submatrices of theta (the image of K0 under the trace).
+
+    The Pfaffians come from one subset recursion over bitmasks
+    (:func:`_subset_pfaffians`, O(n 2^n) integer-pair products); a 2k-subset
+    enters over the common denominator D^K, K = n // 2, as (a, b) * D^(K-k).
+    """
+    d, D, pf = _subset_pfaffians(theta)
+    half = theta.n // 2
+    lift = [D ** (half - k) for k in range(half + 1)]
+    coords = []
+    for mask, pair in enumerate(pf):
+        if pair is not None and any(pair):
+            scale = lift[mask.bit_count() // 2]
+            coords.append((pair[0] * scale, pair[1] * scale))
+    return TraceRange._from_coords(d, D ** half, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +396,9 @@ def range_equal_up_to_scaling(
     """Decide whether L2 = mu * L1 for some real mu > 0.
 
     Ladder: rank comparison; rank-1 generator ratio; ratio-field comparison;
-    multiplier-order comparison; exact equality (mu = 1); bounded transporter
-    search; otherwise Unknown with the exhausted height.
+    exact equality (mu = 1), before the orders because equal ranges have
+    equal orders; multiplier-order comparison; bounded transporter search;
+    otherwise Unknown with the exhausted height.
     """
     if l1.rank != l2.rank:
         return Verdict.not_equivalent(
@@ -349,12 +412,12 @@ def range_equal_up_to_scaling(
         return Verdict.not_equivalent(
             REASON_RATIO_FIELD, f"ratio-field sqrt({l1.d}) vs sqrt({l2.d})"
         )
+    if l1 == l2:
+        return Verdict.equivalent(Scalar(1))
     if _multiplier_order(l1) != _multiplier_order(l2):
         return Verdict.not_equivalent(
             REASON_ORDER, "multiplier-order mismatch"
         )
-    if l1 == l2:
-        return Verdict.equivalent(Scalar(1))
     mu = _scaling_search(l1, l2, height)
     if mu is not None:
         return Verdict.equivalent(mu)

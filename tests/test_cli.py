@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from nctori import invariants
 from nctori.cli import (
     EXIT_INVARIANT,
     EXIT_OK,
@@ -99,6 +100,17 @@ class TestCommands:
         assert main(["decide", f, f]) == EXIT_OK
         assert capsys.readouterr().out == "EQUIVALENT mu=1\n"
 
+    def test_decide_equal_ranges_skip_orders(self, capsys, monkeypatch):
+        calls = []
+        real = invariants._transporter_basis
+        monkeypatch.setattr(
+            invariants, "_transporter_basis", lambda *a: calls.append(a) or real(*a)
+        )
+        f = str(PROBLEMS / "three_torus_sqrt2.txt")
+        assert main(["decide", f, f]) == EXIT_OK
+        assert capsys.readouterr().out == "EQUIVALENT mu=1\n"
+        assert calls == []
+
     def test_decide_mixed_kinds(self, capsys):
         code = main(
             [
@@ -143,6 +155,16 @@ class TestCommands:
         bad.write_text("kind torus\nfield rational\ndim 2\nrow 0 1/0\nrow -1/0 0\n")
         assert main(["invariants", str(bad)]) == EXIT_PARSE
         assert capsys.readouterr().err.startswith("parse error: line 4: ")
+
+    def test_large_squarefree_field(self, capsys, tmp_path):
+        # d = (10^9 + 7) * 998244353: squarefree, too large for trial
+        # division up to sqrt(d)
+        big = tmp_path / "big.txt"
+        big.write_text(
+            "kind torus\nfield sqrt 998244359987710471\ndim 2\nrow 0 1*rt\nrow -1*rt 0\n"
+        )
+        assert main(["invariants", str(big)]) == EXIT_OK
+        assert "trace-range-basis 1; 1*rt\n" in capsys.readouterr().out
 
     def test_invariant_violation_exit(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -105,6 +106,34 @@ class TestTraceRange:
     def test_rank_one_iff_rational(self, corpus):
         for th in corpus[:80]:
             assert (trace_range(th).rank == 1) == th.is_rational()
+
+    def test_matches_matching_oracle(self):
+        # generators from the independent matching-sum route, subset by subset
+        rng = random.Random(31)
+        for n in range(9):
+            for quad_prob in (0.0, 0.5):
+                for zero_rows in (False, True):
+                    rows = [list(r) for r in random_skew(rng, n, quad_prob=quad_prob).rows]
+                    for i in range(0, n, 3) if zero_rows else ():
+                        for j in range(n):
+                            rows[i][j] = rows[j][i] = Scalar(0)
+                    th = SkewMatrix(rows)
+                    gens = [Scalar(1)] + [
+                        pfaffian_from_matchings(th.submatrix(idx))
+                        for size in range(2, n + 1, 2)
+                        for idx in itertools.combinations(range(n), size)
+                    ]
+                    assert trace_range(th) == TraceRange(gens)
+                    if n % 2 == 0:
+                        assert pfaffian(th) == pfaffian_from_matchings(th)
+
+    def test_sqrt2_n14(self):
+        # 2^13 subset Pfaffians: fast only through the subset recursion
+        th = random_skew(random.Random(5), 14, quad_prob=0.5)
+        rng = trace_range(th)
+        assert rng.rank == 2
+        assert rng.contains(1)
+        assert rng == trace_range(th.neg())
 
 
 class TestScalingLadder:
