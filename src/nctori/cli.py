@@ -9,7 +9,8 @@ Problem files are line oriented:
     ...                        |  ...
 
 Entries are exact: `a/b`, `c/d*rt`, or `a/b+c/d*rt` (also with `-`), where
-`rt` stands for sqrt(D) from the field header.  Commands:
+`rt` stands for sqrt(D) from the field header; D must be a squarefree
+integer in [2, 10^18].  Commands:
 
     canon <file>              reduction g, k and the reduced matrices
     invariants <file>         center data, K-ranks, trace-range basis
@@ -54,6 +55,10 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_INVARIANT = 2
 EXIT_VERIFY = 3
+
+# Squarefreeness is tested by trial division up to the cube root of D,
+# about 0.2 s at this bound.
+MAX_FIELD_D = 10**18
 
 
 class ProblemSyntaxError(Exception):
@@ -132,6 +137,14 @@ def parse_problem(raw: str):
             d = int(rest[1])
         except ValueError:
             raise ProblemSyntaxError(lineno, f"bad field discriminant {rest[1]!r}")
+        if not 2 <= d <= MAX_FIELD_D:
+            raise ProblemSyntaxError(
+                lineno, f"field discriminant must lie in [2, 10^18], got {rest[1]!r}"
+            )
+        try:
+            Scalar.sqrt(d)
+        except ValueError:
+            raise ProblemSyntaxError(lineno, f"field discriminant {d} is not squarefree")
     else:
         raise ProblemSyntaxError(lineno, "field must be 'rational' or 'sqrt D'")
 
@@ -377,6 +390,11 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except ValueError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except (ArithmeticError, AssertionError) as exc:
+        # an undefined operation or a failed self-check: one line, no traceback
+        detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+        print(f"invariant violation: {detail}", file=sys.stderr)
         return EXIT_INVARIANT
 
 

@@ -5,7 +5,11 @@ Conventions used throughout the package:
 * vectors are row vectors and matrices act on the right, so a lattice is the
   set of integer combinations of the rows of its basis matrix;
 * integer matrices are plain lists of lists of Python ints;
-* matrices over a field are lists of lists of :class:`Scalar`.
+* matrices over a field are lists of lists of :class:`Scalar` at the API;
+  inside the ``smat_*`` functions they are integer pairs over one common
+  denominator, (A + B*sqrt(d))/den with A and B integer matrices, and every
+  determinant, rank and inverse comes from one fraction-free elimination,
+  :func:`_bareiss`.
 
 Everything here is pure: no function mutates its arguments.
 """
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 
@@ -46,6 +51,9 @@ def _is_squarefree(d: int) -> bool:
     return d == 1 or math.isqrt(d) ** 2 != d
 
 
+_ZERO = Fraction(0)
+
+
 class Scalar:
     """An exact number rat + quad*sqrt(d) with rational rat, quad.
 
@@ -69,6 +77,16 @@ class Scalar:
         self.rat = rat
         self.quad = quad
         self.d = d
+
+    @classmethod
+    def _over(cls, a: int, b: int, den: int, d: int | None) -> "Scalar":
+        """(a + b*sqrt(d))/den for ints, with d already known to be squarefree
+        (or None); skips the conversions and checks of __init__."""
+        s = object.__new__(cls)
+        s.rat = Fraction(a, den)
+        s.quad = Fraction(b, den) if b else _ZERO
+        s.d = d if b else None
+        return s
 
     @classmethod
     def of(cls, x) -> "Scalar":
@@ -253,12 +271,8 @@ def mat_transpose(rows) -> list[list]:
 
 
 def mat_mul(a, b) -> list[list]:
-    n = len(b)
-    cols = len(b[0]) if n else 0
-    return [
-        [sum(ra[k] * b[k][j] for k in range(n)) for j in range(cols)]
-        for ra in a
-    ]
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, ra, c)) for c in cols] for ra in a]
 
 
 def row_times(vec, rows) -> list:
@@ -269,28 +283,10 @@ def row_times(vec, rows) -> list:
 
 
 def int_det(rows) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
+    """Exact determinant of a square integer matrix (see :func:`_bareiss`)."""
     n = len(rows)
-    if n == 0:
-        return 1
-    a = mat_copy(rows)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    rank, sign, (u, _) = _bareiss(None, mat_copy(rows), None, n)
+    return sign * u if rank == n else 0
 
 
 def _sub_row(mat, i, r, q):
@@ -667,97 +663,184 @@ def extend_summand_basis(lat: IntLattice) -> list[list[int]]:
 
 # ---------------------------------------------------------------------------
 # matrices over Q(sqrt d)
-
-
-def smat(rows) -> list[list[Scalar]]:
-    return [[Scalar.of(x) for x in r] for r in rows]
+#
+# At the API a matrix over Q(sqrt d) is a list of lists of Scalar (ints and
+# Fractions are accepted too).  Inside, the smat_* functions hold it as a
+# tuple (d, den, A, B) meaning (A + B sqrt d) / den, with A and B plain
+# integer matrices, den a nonzero int, and d = B = None for a rational
+# matrix.  smat_det, smat_rank, smat_inv and int_det share the one
+# elimination routine, :func:`_bareiss`.
 
 
 def smat_transpose(rows) -> list[list[Scalar]]:
     return [list(col) for col in zip(*rows)] if rows else []
 
 
-def smat_add(a, b) -> list[list[Scalar]]:
-    return [
-        [Scalar.of(x) + Scalar.of(y) for x, y in zip(ra, rb)]
-        for ra, rb in zip(a, b)
-    ]
+def _pack(rows) -> tuple:
+    """(d, den, A, B) for a matrix of scalars, den the least common denominator."""
+    scal = [[x if type(x) is int else Scalar.of(x) for x in r] for r in rows]
+    d = None
+    den = 1
+    for r in scal:
+        for x in r:
+            if type(x) is int:
+                continue
+            if x.d is not None:
+                if d is None:
+                    d = x.d
+                elif x.d != d:
+                    raise IncompatibleField(f"cannot mix sqrt({d}) with sqrt({x.d})")
+                den = math.lcm(den, x.quad.denominator)
+            den = math.lcm(den, x.rat.denominator)
+
+    def scaled(f):
+        return f.numerator * (den // f.denominator)
+
+    a = [[x * den if type(x) is int else scaled(x.rat) for x in r] for r in scal]
+    if d is None:
+        return None, den, a, None
+    b = [[0 if type(x) is int else scaled(x.quad) for x in r] for r in scal]
+    return d, den, a, b
+
+
+def _unpack(d, den, a, b) -> list[list[Scalar]]:
+    over = Scalar._over
+    if b is None:
+        return [[over(x, 0, den, None) for x in r] for r in a]
+    return [[over(x, y, den, d) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def smat_mul(a, b) -> list[list[Scalar]]:
-    n = len(b)
-    cols = len(b[0]) if n else 0
-    out = []
-    for ra in a:
-        row = []
-        for j in range(cols):
-            acc = Scalar(0)
-            for k in range(n):
-                acc = acc + Scalar.of(ra[k]) * Scalar.of(b[k][j])
-            row.append(acc)
-        out.append(row)
-    return out
+    """Exact product over Q(sqrt d), as integer products over den1 * den2:
+    (A1 + B1 rt)(A2 + B2 rt) = (A1 A2 + d B1 B2) + (A1 B2 + B1 A2) rt."""
+    d1, den1, a1, b1 = _pack(a)
+    d2, den2, a2, b2 = _pack(b)
+    if d1 is not None and d2 is not None and d1 != d2:
+        raise IncompatibleField(f"cannot mix sqrt({d1}) with sqrt({d2})")
+    rat = mat_mul(a1, a2)
+    if b1 is None and b2 is None:
+        return _unpack(None, den1 * den2, rat, None)
+    if b1 is None:
+        quad = mat_mul(a1, b2)
+    elif b2 is None:
+        quad = mat_mul(b1, a2)
+    else:
+        rat = [[x + d1 * y for x, y in zip(r, s)] for r, s in zip(rat, mat_mul(b1, b2))]
+        quad = [
+            [x + y for x, y in zip(r, s)] for r, s in zip(mat_mul(a1, b2), mat_mul(b1, a2))
+        ]
+    return _unpack(d1 or d2, den1 * den2, rat, quad)
 
 
-def _echelon(a, ncols: int) -> tuple[int, int]:
-    """Gaussian elimination over Q(sqrt d) on the first ncols columns, in place.
+def _bareiss(d, a, b, ncols: int, jordan: bool = False) -> tuple[int, int, tuple[int, int]]:
+    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) over Z[sqrt d].
 
-    The pivot of a column is its first nonzero entry at or below the current
-    row; row operations act on whole rows, so columns past ncols ride along.
-    Returns (rank, sign of the row permutation); pivots of a full-rank square
-    block end up on its diagonal.
+    Works in place on the matrix A + B sqrt d (B None for a rational one) and
+    on its first ncols columns; columns past ncols ride along.  The pivot of
+    a column is its first nonzero entry at or below the current row.  Every
+    other row below it (with jordan, every other row) becomes
+    (p x - f y) / prev, with p the pivot, f the row's entry in the pivot
+    column, y the pivot row and prev the previous pivot.  Each such entry is
+    then a minor of the input (Sylvester's identity), so the division is
+    exact; by u + v sqrt d it is x (u - v sqrt d) / (u^2 - d v^2).
+
+    Returns (rank, sign of the row permutation, last pivot as (u, v)).  For
+    a square input of full rank the last pivot times the sign is the
+    determinant.  With jordan the pivot rows of earlier steps are updated
+    too, except in the pivot columns left of the current one, which no
+    caller reads: [N | I] ends with p N^-1 in its right block, p the last
+    pivot.
     """
     m = len(a)
     rank = 0
     sign = 1
+    u, v = 1, 0
     for col in range(ncols):
         if rank == m:
             break
-        piv = next((i for i in range(rank, m) if a[i][col]), None)
+        piv = next(
+            (i for i in range(rank, m) if a[i][col] or (b is not None and b[i][col])),
+            None,
+        )
         if piv is None:
             continue
         if piv != rank:
             a[rank], a[piv] = a[piv], a[rank]
+            if b is not None:
+                b[rank], b[piv] = b[piv], b[rank]
             sign = -sign
-        inv = a[rank][col].inverse()
-        # entries left of col are zero in every row from rank down
-        for i in range(rank + 1, m):
-            if a[i][col]:
-                f = a[i][col] * inv
-                a[i][col:] = [x - f * y for x, y in zip(a[i][col:], a[rank][col:])]
+        rows = [i for i in (range(m) if jordan else range(rank + 1, m)) if i != rank]
+        ya = a[rank][col + 1:]
+        ka = a[rank][col]
+        if b is None:
+            for i in rows:
+                row = a[i]
+                f = row[col]
+                row[col + 1:] = [(ka * x - f * y) // u for x, y in zip(row[col + 1:], ya)]
+                row[col] = 0
+            u = ka
+        else:
+            yb = b[rank][col + 1:]
+            kb = b[rank][col]
+            dkb = d * kb
+            nrm = u * u - d * v * v
+            dv = d * v
+            for i in rows:
+                ra, rb = a[i], b[i]
+                fa, fb = ra[col], rb[col]
+                dfb = d * fb
+                xs = list(zip(ra[col + 1:], rb[col + 1:], ya, yb))
+                ta = [ka * xa + dkb * xb - fa * y1 - dfb * y2 for xa, xb, y1, y2 in xs]
+                tb = [ka * xb + kb * xa - fa * y2 - fb * y1 for xa, xb, y1, y2 in xs]
+                if v:
+                    ra[col + 1:] = [(s * u - dv * t) // nrm for s, t in zip(ta, tb)]
+                    rb[col + 1:] = [(t * u - v * s) // nrm for s, t in zip(ta, tb)]
+                else:
+                    ra[col + 1:] = [s // u for s in ta]
+                    rb[col + 1:] = [t // u for t in tb]
+                ra[col] = rb[col] = 0
+            u, v = ka, kb
         rank += 1
-    return rank, sign
+    return rank, sign, (u, v)
 
 
 def smat_det(rows) -> Scalar:
-    """Exact determinant over Q(sqrt d), by Gaussian elimination."""
+    """Exact determinant over Q(sqrt d): det(A + B sqrt d) / den^n."""
     n = len(rows)
-    a = smat(rows)
-    rank, sign = _echelon(a, n)
+    d, den, a, b = _pack(rows)
+    rank, sign, (u, v) = _bareiss(d, a, b, n)
     if rank < n:
         return Scalar(0)
-    det = Scalar(sign)
-    for k in range(n):
-        det = det * a[k][k]
-    return det
+    return Scalar._over(sign * u, sign * v, den**n, d)
 
 
 def smat_rank(rows) -> int:
-    a = smat(rows)
-    return _echelon(a, len(a[0]) if a else 0)[0]
+    d, _, a, b = _pack(rows)
+    return _bareiss(d, a, b, len(a[0]) if a else 0)[0]
 
 
 def smat_inv(rows) -> list[list[Scalar]]:
-    """Exact inverse over Q(sqrt d); raises ValueError on singular input."""
+    """Exact inverse over Q(sqrt d); raises ValueError on singular input.
+
+    Gauss-Jordan on [N | I], N = A + B sqrt d = den M, leaves p N^-1 in the
+    right block R, p = u + v sqrt d the last pivot; so M^-1 = den R / p,
+    that is den R (u - v sqrt d) / (u^2 - d v^2), one division per entry.
+    """
     n = len(rows)
-    aug = [r + [Scalar(int(i == j)) for j in range(n)] for i, r in enumerate(smat(rows))]
-    if _echelon(aug, n)[0] < n:
+    d, den, a, b = _pack(rows)
+    for i, r in enumerate(a):
+        r.extend(int(i == j) for j in range(n))
+    if b is not None:
+        for r in b:
+            r.extend([0] * n)
+    rank, _, (u, v) = _bareiss(d, a, b, n, jordan=True)
+    if rank < n:
         raise ValueError("singular matrix")
-    for k in reversed(range(n)):
-        inv = aug[k][k].inverse()
-        aug[k][k:] = [x * inv for x in aug[k][k:]]
-        for i in range(k):
-            if aug[i][k]:
-                f = aug[i][k]
-                aug[i][k:] = [x - f * y for x, y in zip(aug[i][k:], aug[k][k:])]
-    return [row[n:] for row in aug]
+    if b is None:
+        return _unpack(None, u, [[den * x for x in r[n:]] for r in a], None)
+    return _unpack(
+        d,
+        u * u - d * v * v,
+        [[den * (x * u - d * y * v) for x, y in zip(r[n:], s[n:])] for r, s in zip(a, b)],
+        [[den * (y * u - x * v) for x, y in zip(r[n:], s[n:])] for r, s in zip(a, b)],
+    )

@@ -18,11 +18,11 @@ from .exactlin import (
     mat_identity,
     mat_mul,
     saturate,
-    smat,
     smat_det,
     smat_inv,
     smat_mul,
     smat_rank,
+    smat_transpose,
     solve_row_system,
 )
 
@@ -102,11 +102,17 @@ class IsotropicSubspace:
         rows = [list(r) for r in self.basis]
         if len(rows) != self.dim:
             raise ValueError("dim does not match the number of basis vectors")
-        for i in range(len(rows)):
-            for j in range(i, len(rows)):
-                if pairing(rows[i], rows[j]):
-                    raise NotIsotropic("subspace is not isotropic")
-        if rows and smat_rank(rows) != self.dim:
+        if not rows:
+            return
+        width = len(rows[0])
+        if width % 2 or any(len(r) != width for r in rows):
+            raise ValueError("pairing needs two vectors of one even length")
+        # all pairings at once: the rows times their half-swapped transpose
+        h = width // 2
+        gram = smat_mul(rows, smat_transpose([r[h:] + r[:h] for r in rows]))
+        if any(x for r in gram for x in r):
+            raise NotIsotropic("subspace is not isotropic")
+        if smat_rank(rows) != self.dim:
             raise ValueError("basis vectors are linearly dependent")
 
 
@@ -188,17 +194,13 @@ def choose_sign_vector(rows) -> tuple[int, ...]:
     Inductive choice: extend a valid sign vector one entry at a time, trying
     +1 before -1; one of the two always keeps the leading minor invertible.
     """
-    a = smat(rows)
-    n = len(a)
+    n = len(rows)
     zeta: list[int] = []
     for k in range(n):
         for cand in (1, -1):
             trial = zeta + [cand]
             minor = [
-                [
-                    a[i][j] - (trial[i] if i == j else 0)
-                    for j in range(k + 1)
-                ]
+                [x - trial[i] if i == j else x for j, x in enumerate(rows[i][: k + 1])]
                 for i in range(k + 1)
             ]
             if smat_det(minor):
@@ -222,8 +224,7 @@ def select_transversal(basis: CompatibleBasis, subspace) -> tuple[tuple, tuple]:
         raise ValueError("transversal selection needs dim V = n")
     uvecs = [[a + b for a, b in zip(e, f)] for e, f in zip(basis.e, basis.f)]
     vvecs = [[a - b for a, b in zip(e, f)] for e, f in zip(basis.e, basis.f)]
-    frame = smat(uvecs + vvecs)
-    coords = smat_mul(smat(rows), smat_inv(frame))
+    coords = smat_mul(rows, smat_inv(uvecs + vvecs))
     ma = [row[:n] for row in coords]
     mb = [row[n:] for row in coords]
     try:

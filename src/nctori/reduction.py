@@ -15,8 +15,6 @@ from .exactlin import (
     mat_identity,
     mat_mul,
     mat_transpose,
-    smat,
-    smat_add,
     smat_det,
     smat_inv,
     smat_mul,
@@ -192,12 +190,13 @@ def act(g: ONNElement, theta: SkewMatrix) -> SkewMatrix:
     """
     if g.n != theta.n:
         raise ValueError("dimension mismatch")
-    rows = [list(r) for r in theta.rows]
-    cd = smat_add(smat_mul(smat(g.c), rows), smat(g.d))
+    # C theta + D and A theta + B, each as one product with [theta; I]
+    lift = [list(r) for r in theta.rows] + mat_identity(g.n)
+    cd = smat_mul([c + d for c, d in zip(g.c, g.d)], lift)
     if not smat_det(cd):
         raise ActionUndefined("C @ theta + D is singular")
     assert g.det_sign == 1, "a defined action forces membership in SO(n,n|Z)"
-    ab = smat_add(smat_mul(smat(g.a), rows), smat(g.b))
+    ab = smat_mul([a + b for a, b in zip(g.a, g.b)], lift)
     return SkewMatrix(smat_mul(ab, smat_inv(cd)))
 
 
@@ -252,16 +251,11 @@ def canonical_form(theta: SkewMatrix) -> CanonicalForm:
     r = degen.rank
     k = n - r
 
-    mrows = []
-    for y in degen.basis:
-        img = []
-        for i in range(n):
-            acc = Scalar(0)
-            for j in range(n):
-                acc = acc + theta.rows[i][j] * y[j]
-            img.append(acc.as_int())
-        mrows.append(img + list(y))
-    lat = IntLattice(2 * n, mrows)
+    # M = {(theta y, y) : y in the degeneracy lattice}; theta y = y theta^t
+    images = smat_mul([list(y) for y in degen.basis], smat_transpose(theta.rows))
+    lat = IntLattice(
+        2 * n, [[x.as_int() for x in img] + list(y) for img, y in zip(images, degen.basis)]
+    )
     base = complete_isotropic_basis(lat)
 
     graph_rows = tuple(
@@ -281,7 +275,7 @@ def canonical_form(theta: SkewMatrix) -> CanonicalForm:
 
     # theta' is the matrix of the graph map span(f) -> span(e) in the new basis
     stacked = newbase.rows()
-    coords = smat_mul(smat([list(row) for row in graph_rows]), smat_inv(smat(stacked)))
+    coords = smat_mul(graph_rows, smat_inv(stacked))
     e_part = [row[:n] for row in coords]
     f_part = [row[n:] for row in coords]
     row_map = smat_mul(smat_inv(f_part), e_part)

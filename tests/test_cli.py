@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from nctori import invariants
+from nctori import cli, invariants
 from nctori.cli import (
     EXIT_INVARIANT,
     EXIT_OK,
@@ -15,7 +15,7 @@ from nctori.cli import (
     parse_problem,
 )
 from nctori.exactlin import Scalar
-from nctori.reduction import SkewMatrix
+from nctori.reduction import ActionUndefined, SkewMatrix
 from nctori.twisted import Bicharacter, FgGroup
 from nctori.worked_examples import three_torus
 
@@ -165,6 +165,48 @@ class TestCommands:
         )
         assert main(["invariants", str(big)]) == EXIT_OK
         assert "trace-range-basis 1; 1*rt\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            # past 10^18 the squarefree test by trial division does not finish
+            "1000000000000000005490000000000000001989",
+            "1000000000000000001",
+            # no field sqrt(D): not squarefree, or below 2
+            "4",
+            "12",
+            "1",
+            "0",
+            "-2",
+        ],
+    )
+    def test_field_discriminant_rejected(self, capsys, tmp_path, d):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"kind torus\nfield sqrt {d}\ndim 2\nrow 0 1*rt\nrow -1*rt 0\n")
+        assert main(["invariants", str(bad)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: line 2: field discriminant ")
+
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            ActionUndefined("C @ theta + D is singular"),
+            ZeroDivisionError("division by zero"),
+            AssertionError("reduced block is nondegenerate"),
+            AssertionError(),
+        ],
+    )
+    def test_arithmetic_and_assertion_errors_exit(self, capsys, monkeypatch, exc):
+        def fail(theta):
+            raise exc
+
+        monkeypatch.setattr(cli, "canonical_form", fail)
+        assert main(["canon", str(PROBLEMS / "rational_3x3.txt")]) == EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"invariant violation: {type(exc).__name__}")
 
     def test_invariant_violation_exit(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"

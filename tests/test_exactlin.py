@@ -23,6 +23,7 @@ from nctori.exactlin import (
     smat_det,
     smat_inv,
     smat_mul,
+    smat_rank,
     snf,
     solve_row_system,
 )
@@ -306,3 +307,163 @@ class TestScalarMatrices:
             a = [[rand_scalar(rng) for _ in range(n)] for _ in range(n)]
             b = [[rand_scalar(rng) for _ in range(n)] for _ in range(n)]
             assert smat_det(smat_mul(a, b)) == smat_det(a) * smat_det(b)
+
+
+# ---------------------------------------------------------------------------
+# differential test of the smat_* core against a textbook oracle
+
+
+def _qmul(x, y, d):
+    return (x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _qsub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def _qinv(x, d):
+    n = x[0] * x[0] - d * x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def ref_gauss_jordan(mat, d, ncols):
+    """Rank, determinant and reduced row echelon form on the first ncols
+    columns, by textbook Gauss-Jordan elimination on pairs of Fractions
+    (a, b) = a + b sqrt d.  The determinant is meaningful for square input."""
+    zero = (Fraction(0), Fraction(0))
+    a = [list(r) for r in mat]
+    m = len(a)
+    rank, det = 0, (Fraction(1), Fraction(0))
+    for col in range(ncols):
+        piv = next((i for i in range(rank, m) if a[i][col] != zero), None)
+        if piv is None:
+            det = zero
+            continue
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            det = (-det[0], -det[1])
+        det = _qmul(det, a[rank][col], d)
+        inv = _qinv(a[rank][col], d)
+        a[rank] = [_qmul(x, inv, d) for x in a[rank]]
+        for i in range(m):
+            if i != rank and a[i][col] != zero:
+                f = a[i][col]
+                a[i] = [_qsub(x, _qmul(f, y, d)) for x, y in zip(a[i], a[rank])]
+        rank += 1
+    if rank < m:
+        det = zero
+    return rank, det, a
+
+
+def _pairs(mat):
+    return [[(Scalar.of(x).rat, Scalar.of(x).quad) for x in r] for r in mat]
+
+
+def _scalar(pair, d):
+    return Scalar(pair[0], pair[1], d if pair[1] else None)
+
+
+def _random_entry(rng, d):
+    rat = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    if d is None or rng.random() < 0.4:
+        return Scalar(rat)
+    return Scalar(rat, Fraction(rng.randint(-9, 9), rng.randint(1, 6)), d)
+
+
+def _random_matrix(rng, m, n, d):
+    return [[_random_entry(rng, d) for _ in range(n)] for _ in range(m)]
+
+
+def _make_singular(rng, mat, d):
+    """Overwrite one row with a combination of two others (or with zeros)."""
+    m = len(mat)
+    i = rng.randrange(m)
+    if m < 3:
+        mat[i] = [Scalar(0)] * len(mat[i])
+        return
+    j, k = rng.sample([x for x in range(m) if x != i], 2)
+    c = _random_entry(rng, d)
+    mat[i] = [c * x + y for x, y in zip(mat[j], mat[k])]
+
+
+class TestSmatAgainstOracle:
+    FIELDS = (None, 2, 3, 5, 10)
+
+    def _check_square(self, mat, d):
+        n = len(mat)
+        dd = d or 0
+        rank, det, _ = ref_gauss_jordan(_pairs(mat), dd, n)
+        assert smat_rank(mat) == rank
+        assert smat_det(mat) == _scalar(det, d)
+        aug = [r + [(Fraction(int(i == j)), Fraction(0)) for j in range(n)]
+               for i, r in enumerate(_pairs(mat))]
+        if rank < n:
+            with pytest.raises(ValueError):
+                smat_inv(mat)
+        else:
+            _, _, red = ref_gauss_jordan(aug, dd, n)
+            want = [[_scalar(x, d) for x in row[n:]] for row in red]
+            assert smat_inv(mat) == want
+
+    def test_random_square(self):
+        rng = random.Random(43)
+        singular = 0
+        for case in range(300):
+            d = self.FIELDS[case % len(self.FIELDS)]
+            n = case % 9
+            mat = _random_matrix(rng, n, n, d)
+            if n and rng.random() < 0.3:
+                _make_singular(rng, mat, d)
+                singular += 1
+            self._check_square(mat, d)
+        assert singular > 50
+
+    def test_random_wide_rank(self):
+        rng = random.Random(47)
+        for case in range(150):
+            d = self.FIELDS[case % len(self.FIELDS)]
+            n = case % 9
+            mat = _random_matrix(rng, n, 2 * n, d)
+            if n and rng.random() < 0.4:
+                _make_singular(rng, mat, d)
+            assert smat_rank(mat) == ref_gauss_jordan(_pairs(mat), d or 0, 2 * n)[0]
+
+    def test_random_products(self):
+        rng = random.Random(53)
+        for case in range(150):
+            d = self.FIELDS[case % len(self.FIELDS)]
+            # k >= 1: a 0-row right factor carries no column count
+            m, k, n = rng.randint(0, 8), rng.randint(1, 8), rng.randint(0, 8)
+            a = _random_matrix(rng, m, k, d)
+            b = _random_matrix(rng, k, n, d if rng.random() < 0.7 else None)
+            pa, pb = _pairs(a), _pairs(b)
+            want = []
+            for i in range(m):
+                row = []
+                for j in range(n):
+                    acc = (Fraction(0), Fraction(0))
+                    for t in range(k):
+                        x = _qmul(pa[i][t], pb[t][j], d or 0)
+                        acc = (acc[0] + x[0], acc[1] + x[1])
+                    row.append(_scalar(acc, d))
+                want.append(row)
+            assert smat_mul(a, b) == want
+
+    def test_empty(self):
+        assert smat_det([]) == 1
+        assert smat_rank([]) == 0
+        assert smat_rank([[]]) == 0
+        assert smat_inv([]) == []
+        assert smat_mul([], [[1, 2]]) == []
+        assert smat_mul([[], []], []) == [[], []]
+
+    def test_mixed_fields_raise(self):
+        rt2, rt3 = Scalar.sqrt(2), Scalar.sqrt(3)
+        mixed = [[rt2, 1], [0, rt3]]
+        for fn in (smat_det, smat_rank, smat_inv):
+            with pytest.raises(IncompatibleField):
+                fn(mixed)
+        with pytest.raises(IncompatibleField):
+            smat_mul([[rt2]], [[rt3]])
+        with pytest.raises(IncompatibleField):
+            smat_mul([[rt2, 0]], [[1], [rt3]])
