@@ -371,20 +371,27 @@ def _multiplier_order(l: TraceRange) -> TraceRange:
 def _scaling_search(l1: TraceRange, l2: TraceRange, height: int) -> Scalar | None:
     """Search mu with mu * L1 = L2 among transporter elements of coordinate
     height <= height; complete up to that height because every valid mu
-    lies in the transporter lattice."""
+    lies in the transporter lattice.
+
+    With t1, t2 = (p1 + q1 sqrt d) / D, (p2 + q2 sqrt d) / D, the candidate
+    a t1 + b t2 is (x + y sqrt d) / D and its norm the integer form
+    (x^2 - d y^2) / D^2, so only a candidate of norm +-ratio becomes a
+    Scalar and is confirmed by exact lattice equality."""
     t1, t2 = _transporter_basis(l1, l2)
+    d = l1.d
+    D = _lcm_denoms((t1.rat, t1.quad, t2.rat, t2.quad))
+    p1, q1, p2, q2 = (int(f * D) for f in (t1.rat, t1.quad, t2.rat, t2.quad))
     ratio = l2.covolume() / l1.covolume()
+    den, target = ratio.denominator, ratio.numerator * D * D
     for h in range(1, height + 1):
+        # the ring max(|a|, |b|) = h, in the order of the full square
         for a in range(-h, h + 1):
-            for b in range(-h, h + 1):
-                if max(abs(a), abs(b)) != h:
+            for b in range(-h, h + 1) if abs(a) == h else (-h, h):
+                x, y = a * p1 + b * p2, a * q1 + b * q2
+                # t1, t2 are a basis, so x + y sqrt d != 0 here
+                if abs(x * x - d * y * y) * den != target:
                     continue
-                mu = a * t1 + b * t2
-                if not mu:
-                    continue
-                if abs(mu.norm()) != ratio:
-                    continue
-                mu = abs(mu)
+                mu = abs(Scalar._over(x, y, D, d))
                 if l1.scaled_equals(mu, l2):
                     return mu
     return None

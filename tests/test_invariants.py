@@ -13,6 +13,8 @@ from nctori.invariants import (
     REASON_RATIO_FIELD,
     TraceRange,
     Verdict,
+    _scaling_search,
+    _transporter_basis,
     degeneracy_subgroup,
     k_group_ranks,
     morita_equivalent,
@@ -197,6 +199,92 @@ class TestScalingLadder:
     def test_verdict_mu_positive(self):
         with pytest.raises(AssertionError):
             Verdict.equivalent(Scalar(-1))
+
+
+def _oracle_scaling_search(l1, l2, height):
+    """The mu-search over the full square of heights, every candidate a
+    Scalar with its norm taken in Fractions: the reference for the integer
+    norm form of _scaling_search."""
+    t1, t2 = _transporter_basis(l1, l2)
+    ratio = l2.covolume() / l1.covolume()
+    for h in range(1, height + 1):
+        for a in range(-h, h + 1):
+            for b in range(-h, h + 1):
+                if max(abs(a), abs(b)) != h:
+                    continue
+                mu = a * t1 + b * t2
+                if not mu:
+                    continue
+                if abs(mu.norm()) != ratio:
+                    continue
+                mu = abs(mu)
+                if l1.scaled_equals(mu, l2):
+                    return mu
+    return None
+
+
+def _random_gl2(rng):
+    m = [[1, 0], [0, 1]]
+    for _ in range(rng.randint(1, 4)):
+        t = rng.choice((-2, -1, 1, 2))
+        step = rng.choice(([[1, t], [0, 1]], [[1, 0], [t, 1]], [[0, 1], [1, 0]]))
+        m = [[sum(m[i][k] * step[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+    return m
+
+
+def _mobius(m, omega):
+    (a, b), (c, e) = m
+    return (a * omega + b) / (c * omega + e)
+
+
+class TestScalingSearch:
+    def test_matches_scalar_oracle(self):
+        # Z + omega Z against a GL2(Z) Moebius image Z + tau Z (equivalent,
+        # through mu = 1 / (c omega + e) up to units), and sqrt10 pairs with
+        # no mu at all; the same mu, or None, at every height
+        rng = random.Random(37)
+        pairs = []
+        for d in (2, 3, 5, 6, 7, 10, 13):
+            rt = Scalar.sqrt(d)
+            for omega in (rt, rt / 2, (1 + rt) / 2, 3 * rt):
+                tau = _mobius(_random_gl2(rng), omega)
+                pairs.append((TraceRange([1, omega]), TraceRange([1, tau])))
+        # images whose first mu lies on ring 2 or 3 rather than 1
+        for omega, m in (
+            (3 * RT2, [[0, 1], [1, -4]]),
+            (7 * (1 + Scalar.sqrt(6)) / 2, [[0, 1], [1, 5]]),
+            (5 * (1 + RT2) / 2, [[1, 0], [1, 1]]),
+        ):
+            pairs.append((TraceRange([1, omega]), TraceRange([1, _mobius(m, omega)])))
+        rt10 = Scalar.sqrt(10)
+        for omega in (rt10 / 2, rt10 / 3, _mobius(_random_gl2(rng), rt10 / 2)):
+            pairs.append((TraceRange([1, rt10]), TraceRange([1, omega])))
+        outcomes = set()
+        for l1, l2 in pairs:
+            for height in (*range(9), 20):
+                want = _oracle_scaling_search(l1, l2, height)
+                got = _scaling_search(l1, l2, height)
+                assert got == want and str(got) == str(want)
+                outcomes.add(got is None)
+        assert outcomes == {False, True}
+
+    def test_search_builds_few_scalars(self, monkeypatch):
+        # the sqrt10 pair of test_unknown_for_nonprincipal_class: no candidate
+        # has the right norm, so none becomes a Scalar (8,412 in the Scalar
+        # loop of the oracle)
+        rt10 = Scalar.sqrt(10)
+        l1, l2 = TraceRange([1, rt10]), TraceRange([1, rt10 / 2])
+        built = 0
+        init = Scalar.__init__
+
+        def counting_init(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Scalar, "__init__", counting_init)
+        assert _scaling_search(l1, l2, 20) is None
+        assert built < 100
 
 
 class TestDecision:
