@@ -275,13 +275,6 @@ def mat_mul(a, b) -> list[list]:
     return [[sum(map(operator.mul, ra, c)) for c in cols] for ra in a]
 
 
-def row_times(vec, rows) -> list:
-    """Row vector times matrix."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    return [sum(vec[i] * rows[i][j] for i in range(m)) for j in range(n)]
-
-
 def int_det(rows) -> int:
     """Exact determinant of a square integer matrix (see :func:`_bareiss`)."""
     n = len(rows)
@@ -452,31 +445,38 @@ def int_inverse_unimodular(rows) -> list[list[int]]:
     return u
 
 
-def left_kernel(rows, ncols: int | None = None) -> list[list[int]]:
-    """Basis of {x in Z^m : x @ M = 0}."""
+def _factor(rows, k: int) -> tuple[list[list[int]], list[list[int]]]:
+    """One Hermite form of [M | I] on its first k columns (Kannan-Bachem).
+
+    Returns the rows [H_i | U_i] with H_i != 0, in echelon order, so that
+    U_i @ M = H_i, and the HNF of the rows U_i whose H_i vanishes: the
+    canonical basis of the left kernel of M.  No Smith form is needed, and
+    the triangular transform stays small where the Smith transforms grow.
+    """
     m = len(rows)
-    if m == 0:
+    aug = _hermite(
+        [[int(x) for x in r] + [int(i == j) for j in range(m)] for i, r in enumerate(rows)], k
+    )
+    rank = next((i for i, r in enumerate(aug) if not any(r[:k])), m)
+    return aug[:rank], _hermite([r[k:] for r in aug[rank:]], m)
+
+
+def left_kernel(rows, ncols: int | None = None) -> list[list[int]]:
+    """Basis of {x in Z^m : x @ M = 0}, in Hermite normal form."""
+    if not rows:
         return []
-    k = len(rows[0]) if ncols is None else ncols
-    if k == 0:
-        return mat_identity(m)
-    s, u, _ = snf(rows)
-    rank = sum(1 for i in range(min(m, k)) if s[i][i])
-    return [list(u[i]) for i in range(rank, m)]
+    return _factor(rows, len(rows[0]) if ncols is None else ncols)[1]
 
 
-def reduce_mod_rows(vec, rows) -> list[int]:
-    """Size-reduce a vector modulo the lattice spanned by the rows.
+def _size_reduce(vec, basis) -> list[int]:
+    """Reduce a vector modulo a lattice given by its HNF basis.
 
-    Nearest-integer rounding against the HNF pivots; deterministic, and keeps
-    solution vectors from blowing up when a system has a large kernel.
+    Nearest-integer rounding brings the coordinate at each pivot h into
+    [-h/2, h/2); later rows are zero there, so the result is the one
+    representative of the coset with every pivot coordinate in its window.
     """
     v = list(vec)
-    if not rows:
-        return v
-    for row in _hermite([list(map(int, r)) for r in rows], len(rows[0])):
-        if not any(row):
-            continue
+    for row in basis:
         p = next(j for j, x in enumerate(row) if x)
         c = (2 * v[p] + row[p]) // (2 * row[p])
         if c:
@@ -484,35 +484,36 @@ def reduce_mod_rows(vec, rows) -> list[int]:
     return v
 
 
-def solve_row_system(a_rows, b) -> list[int] | None:
-    """One integer solution x of x @ A = b, or None.
+def solve_rows(a_rows, bs) -> list[list[int] | None]:
+    """For each b, one integer solution x of x @ A = b, or None.
 
-    The answer is deterministic: free coordinates come out pinned and the
-    result is size-reduced modulo the kernel of the system.
+    A is factored once (:func:`_factor`).  Each b is eliminated against the
+    pivots of H while [b | 0] collects -x in its right block; the solution
+    is then size-reduced modulo the HNF of the kernel (:func:`_size_reduce`),
+    so the answer is deterministic and small whatever solution was found.
     """
     m = len(a_rows)
-    k = len(a_rows[0]) if m else len(b)
     if m == 0:
-        return [] if all(x == 0 for x in b) else None
-    s, u, v = snf(a_rows)
-    c = row_times(list(b), v)
-    y = [0] * m
-    rank = 0
-    for j in range(min(m, k)):
-        sj = s[j][j]
-        if sj:
-            if c[j] % sj:
-                return None
-            y[j] = c[j] // sj
-            rank += 1
-        elif c[j]:
-            return None
-    for j in range(min(m, k), k):
-        if c[j]:
-            return None
-    x = row_times(y, u)
-    kernel = [u[i] for i in range(rank, m)]
-    return reduce_mod_rows(x, kernel)
+        return [None if any(b) else [] for b in bs]
+    k = len(a_rows[0])
+    piv_rows, kernel = _factor(a_rows, k)
+    pivots = [next(j for j, x in enumerate(r) if x) for r in piv_rows]
+    out = []
+    for b in bs:
+        v = [int(x) for x in b] + [0] * m
+        for row, p in zip(piv_rows, pivots):
+            c = v[p] // row[p]
+            if c:
+                v = [x - c * y for x, y in zip(v, row)]
+        # a remainder left at a pivot, or anywhere else in the left block,
+        # means b is not in the row span
+        out.append(None if any(v[:k]) else _size_reduce([-x for x in v[k:]], kernel))
+    return out
+
+
+def solve_row_system(a_rows, b) -> list[int] | None:
+    """One integer solution x of x @ A = b, or None; see :func:`solve_rows`."""
+    return solve_rows(a_rows, [b])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +585,12 @@ def integral_solution_lattice(rows, ncols: int | None = None) -> IntLattice:
     """All integer row vectors x with x @ M integral, as an IntLattice.
 
     Entries of M may lie in Q(sqrt d).  The sqrt-part of x @ M must vanish
-    identically (an integer kernel computation) and the rational part must
-    land in Z^k (cleared denominators, solved through Smith normal form).
+    identically: x = y @ K for K the integer left kernel of its cleared
+    numerators (K = I when M is rational).  The rational part of K @ M is
+    N/q with N an integer matrix, and y @ N lies in qZ^k exactly when y is
+    the projection of a left-kernel vector of [N; qI].  [N; qI] has rank k,
+    so its Hermite form has k nonzero rows, and the rows below them, read
+    in the block that tracks the rows of N, span the y.
     """
     m = len(rows)
     if m == 0:
@@ -597,41 +602,40 @@ def integral_solution_lattice(rows, ncols: int | None = None) -> IntLattice:
         raise IncompatibleField(f"matrix mixes quadratic fields {sorted(ds)}")
 
     quad = [[e.quad for e in r] for r in scal]
+    k1 = None
     if any(x for r in quad for x in r):
         ql = _lcm_denoms(x for r in quad for x in r)
-        qint = [[int(x * ql) for x in r] for r in quad]
-        k1 = left_kernel(qint, ncols=k)
-    else:
-        k1 = mat_identity(m)
-    if not k1:
-        return IntLattice(m)
+        k1 = left_kernel([[int(x * ql) for x in r] for r in quad], ncols=k)
+        if not k1:
+            return IntLattice(m)
 
-    rat = [[e.rat for e in r] for r in scal]
-    nmat = [
-        [sum(Fraction(krow[i]) * rat[i][j] for i in range(m)) for j in range(k)]
-        for krow in k1
-    ]
-    q = _lcm_denoms(x for r in nmat for x in r)
+    den = _lcm_denoms(e.rat for r in scal for e in r)
+    nmat = [[e.rat.numerator * (den // e.rat.denominator) for e in r] for r in scal]
+    if k1 is not None:
+        nmat = mat_mul(k1, nmat)
+    t = len(nmat)
+    g = math.gcd(den, *(x for r in nmat for x in r))
+    q = den // g
     if q == 1:
-        return IntLattice(m, k1)
-    ni = [[int(x * q) for x in r] for r in nmat]
-    t = len(k1)
-    s, u, _ = snf(ni)
-    scaled = []
-    for j in range(t):
-        sj = s[j][j] if j < min(t, k) else 0
-        c = q // math.gcd(sj, q)
-        scaled.append([c * x for x in u[j]])
-    return IntLattice(m, mat_mul(scaled, k1))
+        sol = mat_identity(t)
+    else:
+        aug = [[x // g for x in r] + [int(i == j) for j in range(t)] for i, r in enumerate(nmat)]
+        aug += [[q * (i == j) for j in range(k)] + [0] * t for i in range(k)]
+        sol = [r[k:] for r in _hermite(aug, k)[k:]]
+    return IntLattice(m, sol if k1 is None else mat_mul(sol, k1))
 
 
 def saturate(lat: IntLattice) -> IntLattice:
-    """Smallest direct summand of Z^N containing the lattice."""
+    """Smallest direct summand of Z^N containing the lattice.
+
+    It is everything orthogonal to the vectors orthogonal to the lattice:
+    two left kernels.
+    """
     if lat.rank == 0:
         return lat
-    _, _, v = snf([list(r) for r in lat.basis])
-    vinv = int_inverse_unimodular(v)
-    return IntLattice(lat.ambient_dim, vinv[: lat.rank])
+    n = lat.ambient_dim
+    perp = left_kernel(mat_transpose(lat.basis))
+    return IntLattice(n, left_kernel([[r[j] for r in perp] for j in range(n)], ncols=len(perp)))
 
 
 def complete_to_basis(rows, ambient: int) -> list[list[int]]:

@@ -23,7 +23,7 @@ from .exactlin import (
     smat_mul,
     smat_rank,
     smat_transpose,
-    solve_row_system,
+    solve_rows,
 )
 
 
@@ -151,11 +151,8 @@ def complete_isotropic_basis(lat: IntLattice) -> CompatibleBasis:
     assert big.rank == n, "M + W must saturate to rank n"
 
     # re-order the summand's basis so that M's rows come first
-    coords = []
-    for row in rows_m:
-        c = solve_row_system([list(b) for b in big.basis], row)
-        assert c is not None
-        coords.append(c)
+    coords = solve_rows([list(b) for b in big.basis], rows_m)
+    assert None not in coords
     change = complete_to_basis(coords, n)
     evecs = mat_mul(change, [list(b) for b in big.basis])
     for i in range(n):
@@ -165,11 +162,10 @@ def complete_isotropic_basis(lat: IntLattice) -> CompatibleBasis:
     # dual-basis preimages: <h_j, e_i> = delta_ij
     flipped = [row[n:] + row[:n] for row in evecs]
     apair = [[flipped[i][x] for i in range(n)] for x in range(2 * n)]
+    hvecs = solve_rows(apair, mat_identity(n))
+    assert None not in hvecs, "dual basis must be attainable (summand saturated)"
     fvecs = []
-    for j in range(n):
-        target = [1 if i == j else 0 for i in range(n)]
-        h = solve_row_system(apair, target)
-        assert h is not None, "dual basis must be attainable (summand saturated)"
+    for j, h in enumerate(hvecs):
         diag = _ipair(h, h)
         assert diag % 2 == 0
         f = [x - (diag // 2) * y for x, y in zip(h, evecs[j])]

@@ -21,7 +21,7 @@ from .exactlin import (
     mat_identity,
     mat_mul,
     snf,
-    solve_row_system,
+    solve_rows,
 )
 from .invariants import (
     DEFAULT_SEARCH_HEIGHT,
@@ -196,14 +196,9 @@ def hsigma(sigma: Bicharacter) -> tuple[int, tuple[int, ...]]:
     if not rel:
         return (lat.rank, ())
     basis = [list(b) for b in lat.basis]
-    coords = []
-    for row in rel:
-        c = solve_row_system(basis, row)
-        if c is None:
-            raise InvalidBicharacter(
-                "group relations escape the pairing kernel"
-            )
-        coords.append(c)
+    coords = solve_rows(basis, rel)
+    if None in coords:
+        raise InvalidBicharacter("group relations escape the pairing kernel")
     s, _, _ = snf(coords)
     divisors = [
         s[i][i] for i in range(min(len(coords), lat.rank))
@@ -235,11 +230,8 @@ def _present_quotient(sigma: Bicharacter, carrier_rows, relation_rows) -> Bichar
     ell = len(carrier_rows)
     if ell == 0:
         return Bicharacter(FgGroup(0), [])
-    coords = []
-    for row in relation_rows:
-        c = solve_row_system(carrier_rows, row)
-        assert c is not None, "relations must lie inside the carrier"
-        coords.append(c)
+    coords = solve_rows(carrier_rows, relation_rows)
+    assert None not in coords, "relations must lie inside the carrier"
     if coords:
         s, _, v = snf(coords)
         orders = [

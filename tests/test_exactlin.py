@@ -26,6 +26,7 @@ from nctori.exactlin import (
     smat_rank,
     snf,
     solve_row_system,
+    solve_rows,
 )
 
 
@@ -467,3 +468,180 @@ class TestSmatAgainstOracle:
             smat_mul([[rt2]], [[rt3]])
         with pytest.raises(IncompatibleField):
             smat_mul([[rt2, 0]], [[1], [rt3]])
+
+
+# ---------------------------------------------------------------------------
+# The Smith-form kernels that the Hermite-form ones replaced, kept as oracles.
+
+
+def snf_left_kernel(rows, ncols=None):
+    m = len(rows)
+    if m == 0:
+        return []
+    k = len(rows[0]) if ncols is None else ncols
+    if k == 0:
+        return mat_identity(m)
+    s, u, _ = snf(rows)
+    rank = sum(1 for i in range(min(m, k)) if s[i][i])
+    return [list(u[i]) for i in range(rank, m)]
+
+
+def snf_solve_row_system(a_rows, b):
+    m = len(a_rows)
+    k = len(a_rows[0]) if m else len(b)
+    if m == 0:
+        return [] if all(x == 0 for x in b) else None
+    s, u, v = snf(a_rows)
+    c = [sum(b[i] * v[i][j] for i in range(k)) for j in range(k)]
+    y = [0] * m
+    rank = 0
+    for j in range(min(m, k)):
+        sj = s[j][j]
+        if sj:
+            if c[j] % sj:
+                return None
+            y[j] = c[j] // sj
+            rank += 1
+        elif c[j]:
+            return None
+    if any(c[min(m, k):]):
+        return None
+    x = [sum(y[i] * u[i][j] for i in range(m)) for j in range(m)]
+    # nearest-integer rounding against the HNF pivots of the kernel
+    for row in IntLattice(m, u[rank:]).basis:
+        p = next(j for j, e in enumerate(row) if e)
+        c = (2 * x[p] + row[p]) // (2 * row[p])
+        x = [e - c * f for e, f in zip(x, row)]
+    return x
+
+
+def snf_integral_solution_lattice(rows, ncols=None):
+    m = len(rows)
+    if m == 0:
+        return IntLattice(0)
+    scal = [[Scalar.of(x) for x in r] for r in rows]
+    k = len(scal[0]) if ncols is None else ncols
+    quad = [[e.quad for e in r] for r in scal]
+    if any(x for r in quad for x in r):
+        ql = math.lcm(*(x.denominator for r in quad for x in r))
+        k1 = snf_left_kernel([[int(x * ql) for x in r] for r in quad], ncols=k)
+    else:
+        k1 = mat_identity(m)
+    if not k1:
+        return IntLattice(m)
+    nmat = [
+        [sum(Fraction(krow[i]) * scal[i][j].rat for i in range(m)) for j in range(k)]
+        for krow in k1
+    ]
+    q = math.lcm(1, *(x.denominator for r in nmat for x in r))
+    if q == 1:
+        return IntLattice(m, k1)
+    s, u, _ = snf([[int(x * q) for x in r] for r in nmat])
+    t = len(k1)
+    scaled = []
+    for j in range(t):
+        sj = s[j][j] if j < min(t, k) else 0
+        scaled.append([q // math.gcd(sj, q) * x for x in u[j]])
+    return IntLattice(m, mat_mul(scaled, k1))
+
+
+def snf_saturate(lat):
+    if lat.rank == 0:
+        return lat
+    _, _, v = snf([list(r) for r in lat.basis])
+    return IntLattice(lat.ambient_dim, int_inverse_unimodular(v)[: lat.rank])
+
+
+def _kernel_test_matrices(count=320, seed=59):
+    """Seeded integer matrices of every shape the kernels meet: empty, zero
+    width, m < k and m > k, rank-deficient, with zero rows or columns."""
+    rng = random.Random(seed)
+    mats = [[], [[]], [[], [], []], [[0, 0, 0]], [[0], [0]], [[5]], [[0, 4], [0, 6]]]
+    while len(mats) < count:
+        m, k = rng.randint(1, 6), rng.randint(1, 6)
+        mat = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(m)]
+        kind = len(mats) % 4
+        if kind == 1:  # rank r < min(m, k): rows are combinations of r rows
+            base = mat[: rng.randint(0, min(m, k) - 1)]
+            mat = [[sum(rng.randint(-3, 3) * b[j] for b in base) for j in range(k)]
+                   for _ in range(m)]
+        elif kind == 2:
+            mat[rng.randrange(m)] = [0] * k
+        elif kind == 3:
+            j = rng.randrange(k)
+            for row in mat:
+                row[j] = 0
+        mats.append(mat)
+    return mats
+
+
+def _check_kernels(mat, k):
+    """left_kernel and saturate against the SNF oracles, as lattices."""
+    m = len(mat)
+    ker = left_kernel(mat, ncols=k)
+    assert IntLattice(m, ker) == IntLattice(m, snf_left_kernel(mat, ncols=k))
+    assert len(ker) == len(IntLattice(m, ker).basis)  # a basis, not a spanning set
+    lat = IntLattice(k, mat)
+    assert saturate(lat) == snf_saturate(lat)
+
+
+class TestHnfKernelsAgainstSnf:
+    def test_integer_matrices(self):
+        rng = random.Random(61)
+        mats = _kernel_test_matrices()
+        assert len(mats) >= 300
+        solvable = unsolvable = 0
+        for mat in mats:
+            m = len(mat)
+            k = len(mat[0]) if m else rng.randint(0, 3)
+            _check_kernels(mat, k)
+            bs = []
+            for _ in range(3):
+                x = [rng.randint(-4, 4) for _ in range(m)]
+                b = [sum(x[i] * mat[i][j] for i in range(m)) for j in range(k)]
+                bs.append(b)
+                bs.append([2 * e + rng.randint(-1, 1) for e in b])
+                bs.append([rng.randint(-9, 9) for _ in range(k)])
+            got = solve_rows(mat, bs)
+            for b, x in zip(bs, got):
+                want = snf_solve_row_system(mat, b)
+                assert x == want
+                assert solve_row_system(mat, b) == want
+                solvable += want is not None
+                unsolvable += want is None
+            # an integer matrix over Q: the rational part is the lattice
+            den = rng.randint(1, 12)
+            frac = [[Fraction(e, den) for e in r] for r in mat]
+            assert integral_solution_lattice(frac, k) == snf_integral_solution_lattice(frac, k)
+        assert solvable > 300 and unsolvable > 300
+
+    def test_sqrt2_matrices(self):
+        rng = random.Random(67)
+        for case in range(120):
+            m, k = rng.randint(1, 5), rng.randint(1, 4)
+            rat = [[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(k)]
+                   for _ in range(m)]
+            # the sqrt 2 part has rank < m, so its integer kernel is not zero
+            base = [[Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(k)]
+                    for _ in range(rng.randint(0, min(m - 1, k)))]
+            quad = [[sum((rng.randint(-2, 2) * b[j] for b in base), Fraction(0))
+                     for j in range(k)] for _ in range(m)]
+            mat = [[Scalar(a, b, 2 if b else None) for a, b in zip(ra, rq)]
+                   for ra, rq in zip(rat, quad)]
+            got = integral_solution_lattice(mat, k)
+            assert got == snf_integral_solution_lattice(mat, k)
+            lat = IntLattice(m, [[2 * e for e in r] for r in got.basis])
+            assert saturate(lat) == snf_saturate(lat)
+
+    def test_corpus(self, corpus):
+        for theta in corpus:
+            n = theta.n
+            rows = [list(r) for r in theta.rows]
+            lat = integral_solution_lattice(rows, n)
+            assert lat == snf_integral_solution_lattice(rows, n)
+            # q times the rational part of theta: skew, so singular at odd n
+            q = math.lcm(*(x.rat.denominator for r in rows for x in r))
+            ints = [[int(q * x.rat) for x in r] for r in rows]
+            _check_kernels(ints, n)
+            bs = ints + mat_identity(n) + [list(b) for b in lat.basis]
+            assert solve_rows(ints, bs) == [snf_solve_row_system(ints, b) for b in bs]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -138,6 +139,20 @@ class TestCanonicalForm:
         form = canonical_form(th)
         assert form.k == 0
         assert form.theta_prime == SkewMatrix.zero(3)
+
+    def test_rational_scale_n12(self):
+        # n = 12 is past the size where Smith-form transforms run to 10^5 bits
+        th = random_skew(random.Random(5), 12)
+        n = th.n
+        lat = degeneracy_subgroup(th)
+        for x in lat.basis:
+            assert all(sum(x[i] * th.rows[i][j] for i in range(n)).is_integer() for j in range(n))
+        q = math.lcm(*(e.rat.denominator for r in th.rows for e in r))
+        for i in range(n):
+            assert lat.contains([q * (i == j) for j in range(n)])
+        form = canonical_form(th)  # runs its own self-checks
+        assert form.k == 0
+        assert act(form.g, th) == form.theta_prime
 
     def test_irrational_full_block(self):
         rt2 = Scalar.sqrt(2)
