@@ -6,10 +6,12 @@ Conventions used throughout the package:
   set of integer combinations of the rows of its basis matrix;
 * integer matrices are plain lists of lists of Python ints;
 * matrices over a field are lists of lists of :class:`Scalar` at the API;
-  inside the ``smat_*`` functions they are integer pairs over one common
-  denominator, (A + B*sqrt(d))/den with A and B integer matrices, and every
-  determinant, rank and inverse comes from one fraction-free elimination,
-  :func:`_bareiss`.
+  inside they are integer pairs over one common denominator,
+  (A + B*sqrt(d))/den with A and B integer matrices.  :func:`_pack` is the
+  one converter into that form and the one place that rejects a second
+  quadratic field; every module that computes on integer pairs takes them
+  from it.  Every determinant, rank and inverse comes from one
+  fraction-free elimination, :func:`_bareiss`.
 
 Everything here is pure: no function mutates its arguments.
 """
@@ -574,44 +576,28 @@ class IntLattice:
         return f"IntLattice({self.ambient_dim}, {list(map(list, self.basis))})"
 
 
-def _lcm_denoms(fracs) -> int:
-    out = 1
-    for f in fracs:
-        out = out * f.denominator // math.gcd(out, f.denominator)
-    return out
-
-
 def integral_solution_lattice(rows, ncols: int | None = None) -> IntLattice:
     """All integer row vectors x with x @ M integral, as an IntLattice.
 
-    Entries of M may lie in Q(sqrt d).  The sqrt-part of x @ M must vanish
-    identically: x = y @ K for K the integer left kernel of its cleared
-    numerators (K = I when M is rational).  The rational part of K @ M is
-    N/q with N an integer matrix, and y @ N lies in qZ^k exactly when y is
-    the projection of a left-kernel vector of [N; qI].  [N; qI] has rank k,
-    so its Hermite form has k nonzero rows, and the rows below them, read
-    in the block that tracks the rows of N, span the y.
+    Entries of M may lie in Q(sqrt d); :func:`_pack` writes M as
+    (N + B sqrt d)/den.  The sqrt-part of x @ M must vanish identically:
+    x = y @ K for K the integer left kernel of B (K = I when M is rational).
+    Then y @ K @ N lies in den Z^k; dividing by the gcd g of den and K @ N
+    leaves modulus q = den/g, and y is the projection of a left-kernel
+    vector of [K N/g; qI].  That matrix has rank k, so its Hermite form has
+    k nonzero rows, and the rows below them, read in the block that tracks
+    the rows of K N/g, span the y.
     """
     m = len(rows)
     if m == 0:
         return IntLattice(0)
-    scal = [[Scalar.of(x) for x in r] for r in rows]
-    k = len(scal[0]) if ncols is None else ncols
-    ds = {e.d for r in scal for e in r if e.d is not None}
-    if len(ds) > 1:
-        raise IncompatibleField(f"matrix mixes quadratic fields {sorted(ds)}")
-
-    quad = [[e.quad for e in r] for r in scal]
+    _, den, nmat, quad = _pack(rows)
+    k = len(nmat[0]) if ncols is None else ncols
     k1 = None
-    if any(x for r in quad for x in r):
-        ql = _lcm_denoms(x for r in quad for x in r)
-        k1 = left_kernel([[int(x * ql) for x in r] for r in quad], ncols=k)
+    if quad is not None:
+        k1 = left_kernel(quad, ncols=k)
         if not k1:
             return IntLattice(m)
-
-    den = _lcm_denoms(e.rat for r in scal for e in r)
-    nmat = [[e.rat.numerator * (den // e.rat.denominator) for e in r] for r in scal]
-    if k1 is not None:
         nmat = mat_mul(k1, nmat)
     t = len(nmat)
     g = math.gcd(den, *(x for r in nmat for x in r))

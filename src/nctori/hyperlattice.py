@@ -36,15 +36,14 @@ class NotSaturated(ValueError):
 
 
 def pairing(x, y) -> Scalar:
-    """The hyperbolic form of two vectors of equal even length."""
+    """The hyperbolic form of two vectors of equal even length: x times the
+    half-swapped y, one packed product."""
     if len(x) != len(y) or len(x) % 2:
         raise ValueError("pairing needs two vectors of one even length")
+    if not x:
+        return Scalar(0)
     n = len(x) // 2
-    total = Scalar(0)
-    for j in range(n):
-        total = total + Scalar.of(x[j]) * Scalar.of(y[n + j])
-        total = total + Scalar.of(x[n + j]) * Scalar.of(y[j])
-    return total
+    return smat_mul([x], [[v] for v in (*y[n:], *y[:n])])[0][0]
 
 
 def _ipair(x, y) -> int:

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlin import (
-    IncompatibleField,
     IntLattice,
     Scalar,
-    _lcm_denoms,
+    _pack,
     integral_solution_lattice,
 )
 from .reduction import SkewMatrix, degeneracy_subgroup
@@ -77,10 +76,10 @@ def _subset_pfaffians(theta: SkewMatrix):
     """Pfaffians of every even principal submatrix of theta, as integer pairs.
 
     Returns (d, D, pf).  D is the lcm of the entries' denominators, so D*theta
-    has entries a + b sqrt(d) with integers a, b (d is None when theta is
-    rational).  A subset S of {0..n-1} is the bitmask with bit i set for i in
-    S; for |S| = 2k, pf[mask] = (a, b) with Pf(theta_S) = (a + b sqrt d) / D^k,
-    and pf[mask] is None for odd |S|.
+    has entries a + b sqrt(d) with integers a, b, read from :func:`_pack`
+    (d is None when theta is rational).  A subset S of {0..n-1} is the
+    bitmask with bit i set for i in S; for |S| = 2k, pf[mask] = (a, b) with
+    Pf(theta_S) = (a + b sqrt d) / D^k, and pf[mask] is None for odd |S|.
 
     One pass over the masks in increasing order expands each along its
     lowest index i0: Pf(S) = sum over j in S, j > i0, of
@@ -88,17 +87,13 @@ def _subset_pfaffians(theta: SkewMatrix):
     of elements of S below j.  Both smaller masks come earlier, so every
     subset is evaluated once: O(n 2^n) products of integer pairs.
     """
-    entries = [x for row in theta.rows for x in row]
-    fields = {x.d for x in entries if x.d is not None}
-    if len(fields) > 1:
-        raise IncompatibleField(f"entries mix quadratic fields {sorted(fields)}")
-    d = fields.pop() if fields else None
+    d, D, num, quad = _pack(theta.rows)
     sq = d or 0  # (sqrt d)^2; every b is 0 when theta is rational
-    D = _lcm_denoms(f for x in entries for f in (x.rat, x.quad))
+    quad = quad or [[0] * theta.n] * theta.n
     # upper[i]: (bit of j, a, b) for each nonzero entry D*theta[i][j] with j > i
     upper = [
-        [(1 << j, int(x.rat * D), int(x.quad * D)) for j, x in enumerate(row) if j > i and x]
-        for i, row in enumerate(theta.rows)
+        [(1 << j, x, y) for j, (x, y) in enumerate(zip(ra, rb)) if j > i and (x or y)]
+        for i, (ra, rb) in enumerate(zip(num, quad))
     ]
     pf = [None] * (1 << theta.n)
     pf[0] = (1, 0)
@@ -181,18 +176,10 @@ class TraceRange:
     __slots__ = ("d", "denom", "lattice")
 
     def __init__(self, generators):
-        gens = [Scalar.of(g) for g in generators]
-        ds = {g.d for g in gens if g.d is not None}
-        if len(ds) > 1:
-            raise IncompatibleField(f"generators mix quadratic fields {sorted(ds)}")
-        denom = _lcm_denoms(f for g in gens for f in (g.rat, g.quad))
         # d is set only by a generator with quad != 0, so d is None exactly
         # when the range is rational.
-        self._set(
-            ds.pop() if ds else None,
-            denom,
-            [(int(g.rat * denom), int(g.quad * denom)) for g in gens],
-        )
+        d, denom, (num,), quad = _pack([list(generators)])
+        self._set(d, denom, list(zip(num, quad[0] if quad else [0] * len(num))))
 
     @classmethod
     def _from_coords(cls, d, common: int, coords) -> "TraceRange":
@@ -350,9 +337,8 @@ def _transporter_basis(l1: TraceRange, l2: TraceRange):
         [n_cond[1][1] / det1, -n_cond[0][1] / det1],
         [-n_cond[1][0] / det1, n_cond[0][0] / det1],
     ]
-    dx = _lcm_denoms(f for row in inv1 for f in row)
-    scaled = [[Scalar(f / dx) for f in row] for row in n_cond]
-    lat = integral_solution_lattice(scaled, 4)
+    dx = math.lcm(*(f.denominator for row in inv1 for f in row))
+    lat = integral_solution_lattice([[f / dx for f in row] for row in n_cond], 4)
     assert lat.rank == 2, "the transporter of two full lattices has rank 2"
     d = l1.d
     t1, t2 = (
@@ -377,10 +363,8 @@ def _scaling_search(l1: TraceRange, l2: TraceRange, height: int) -> Scalar | Non
     a t1 + b t2 is (x + y sqrt d) / D and its norm the integer form
     (x^2 - d y^2) / D^2, so only a candidate of norm +-ratio becomes a
     Scalar and is confirmed by exact lattice equality."""
-    t1, t2 = _transporter_basis(l1, l2)
-    d = l1.d
-    D = _lcm_denoms((t1.rat, t1.quad, t2.rat, t2.quad))
-    p1, q1, p2, q2 = (int(f * D) for f in (t1.rat, t1.quad, t2.rat, t2.quad))
+    # a rank-2 transporter is never rational, so the sqrt-part is packed
+    d, D, ((p1, p2),), ((q1, q2),) = _pack([_transporter_basis(l1, l2)])
     ratio = l2.covolume() / l1.covolume()
     den, target = ratio.denominator, ratio.numerator * D * D
     for h in range(1, height + 1):

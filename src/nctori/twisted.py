@@ -16,10 +16,13 @@ from fractions import Fraction
 from .exactlin import (
     IntLattice,
     Scalar,
+    _pack,
     int_inverse_unimodular,
     integral_solution_lattice,
     mat_identity,
     mat_mul,
+    mat_transpose,
+    smat_mul,
     snf,
     solve_rows,
 )
@@ -113,20 +116,27 @@ class FgGroup:
 
 
 class Bicharacter:
-    """A skew-symmetric bicharacter via its exponent matrix on generators."""
+    """A skew-symmetric bicharacter via its exponent matrix on generators.
+
+    The checks run on the packed matrix (A + B sqrt d)/den of
+    :func:`~nctori.exactlin._pack`: c times an entry is an integer exactly
+    when its B part is 0 and den divides c times its A part.
+    """
 
     __slots__ = ("group", "exponents")
 
     def __init__(self, group: FgGroup, rows):
         n = group.ngens
         rows = tuple(tuple(Scalar.of(x) for x in r) for r in rows)
+        _, den, a, b = _pack(rows)
+        b = b or [[0] * len(r) for r in a]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise InvalidBicharacter(f"exponent matrix must be {n}x{n}")
         for i in range(n):
-            if not rows[i][i].is_integer():
+            if a[i][i] % den or b[i][i]:
                 raise InvalidBicharacter("diagonal exponents must be integers")
             for j in range(i + 1, n):
-                if not (rows[i][j] + rows[j][i]).is_integer():
+                if (a[i][j] + a[j][i]) % den or b[i][j] + b[j][i]:
                     raise InvalidBicharacter(
                         "matrix must be skew-symmetric modulo Z"
                     )
@@ -135,8 +145,8 @@ class Bicharacter:
             if not m:
                 continue
             for j in range(n):
-                for val in (rows[i][j], rows[j][i]):
-                    if not (m * val).is_integer():
+                for x, y in ((a[i][j], b[i][j]), (a[j][i], b[j][i])):
+                    if m * x % den or y:
                         raise InvalidBicharacter(
                             f"order-{m} generator {i} pairs by a non m-th root"
                         )
@@ -149,15 +159,11 @@ class Bicharacter:
         return cls(FgGroup(theta.n), [list(r) for r in theta.rows])
 
     def pairing_exponent(self, x, y) -> Scalar:
-        """g @ E @ h^t for exponent vectors; defined modulo Z."""
-        acc = Scalar(0)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if yj:
-                    acc = acc + xi * self.exponents[i][j] * yj
-        return acc
+        """g @ E @ h^t for exponent vectors, one packed product; defined
+        modulo Z."""
+        if not x or not y:
+            return Scalar(0)
+        return smat_mul(smat_mul([x], self.exponents), [[v] for v in y])[0][0]
 
     def __repr__(self):
         return f"Bicharacter({self.group!r})"
@@ -179,7 +185,7 @@ def _pairing_kernel_lattice(sigma: Bicharacter) -> IntLattice:
     n = sigma.group.ngens
     if n == 0:
         return IntLattice(0)
-    return integral_solution_lattice([list(r) for r in sigma.exponents], n)
+    return integral_solution_lattice(sigma.exponents, n)
 
 
 def hsigma(sigma: Bicharacter) -> tuple[int, tuple[int, ...]]:
@@ -225,7 +231,9 @@ def _present_quotient(sigma: Bicharacter, carrier_rows, relation_rows) -> Bichar
     carrier_rows is a basis of a sublattice K of Z^N, relation_rows a family
     of rows inside K; the quotient K / span(relations) is re-presented with
     free generators first, then a torsion divisor chain, and the exponent
-    matrix is restricted along the chosen generator lifts.
+    matrix is restricted along the chosen generator lifts: one packed
+    product lifts @ E @ lifts^t, each rational part pulled into [0, 1)
+    since exponents only matter mod Z.
     """
     ell = len(carrier_rows)
     if ell == 0:
@@ -245,16 +253,10 @@ def _present_quotient(sigma: Bicharacter, carrier_rows, relation_rows) -> Bichar
 
     free_idx = [i for i in range(ell) if orders[i] == 0]
     tors_idx = [i for i in range(ell) if orders[i] >= 2]
-    perm = free_idx + tors_idx
+    lifts = [lift_rows[i] for i in free_idx + tors_idx]
     group = FgGroup(len(free_idx), tuple(orders[i] for i in tors_idx))
-
-    def induced(a, b):
-        val = sigma.pairing_exponent(lift_rows[a], lift_rows[b])
-        # exponents only matter mod Z; pull the rational part into [0, 1)
-        return Scalar(val.rat - math.floor(val.rat), val.quad, val.d)
-
-    rows = [[induced(a, b) for b in perm] for a in perm]
-    return Bicharacter(group, rows)
+    induced = smat_mul(smat_mul(lifts, sigma.exponents), mat_transpose(lifts))
+    return Bicharacter(group, [[Scalar(v.rat % 1, v.quad, v.d) for v in r] for r in induced])
 
 
 def simple_quotient(sigma: Bicharacter) -> Bicharacter:
@@ -286,15 +288,13 @@ def _split_top_torsion(sigma: Bicharacter) -> tuple[Bicharacter, int]:
     n = group.ngens
     t = n - 1
     m = group.torsion_orders[-1]
-    jvals = []
-    for i in range(n):
-        v = m * sigma.exponents[t][i]
-        assert v.is_integer()
-        jvals.append(v.as_int() % m)
+    # chi_t(e_i) = e(j_i / m): j_i from the packed row t, whose sqrt part
+    # vanishes on a torsion row
+    d, den, (top,), _ = _pack([sigma.exponents[t]])
+    assert d is None and all(m * x % den == 0 for x in top)
+    jvals = [m * x // den % m for x in top]
     assert math.gcd(*jvals, m) == 1, "a nondegenerate pairing has a partner for t"
-    kernel = integral_solution_lattice(
-        [[Scalar(Fraction(j, m))] for j in jvals], 1
-    )
+    kernel = integral_solution_lattice([[Fraction(j, m)] for j in jvals], 1)
     relations = group.relation_rows()
     relations.append([1 if i == t else 0 for i in range(n)])
     for row in relations:

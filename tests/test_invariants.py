@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from nctori.exactlin import IntLattice, Scalar, smat_det
+from nctori.exactlin import (
+    IncompatibleField,
+    IntLattice,
+    Scalar,
+    integral_solution_lattice,
+    smat_det,
+)
 from nctori.invariants import (
     REASON_CENTER,
     REASON_DIMENSION,
@@ -34,6 +40,7 @@ from nctori.worked_examples import (
 from conftest import random_skew
 
 RT2 = Scalar.sqrt(2)
+RT3 = Scalar.sqrt(3)
 
 
 class TestDegeneracySubgroup:
@@ -75,6 +82,27 @@ class TestPfaffian:
             p2 = pfaffian_from_matchings(th)
             assert p1 == p2
             assert p1 * p1 == smat_det([list(r) for r in th.rows])
+
+
+# entries from Q(sqrt 2) and Q(sqrt 3) at once; each skew pair stays in one field
+_TWO_FIELDS = SkewMatrix(
+    [[0, RT2, RT3, 0], [-RT2, 0, 0, 1], [-RT3, 0, 0, 1], [0, -1, -1, 0]]
+)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: integral_solution_lattice([[RT2, 1], [0, RT3]]),
+        lambda: TraceRange([1, RT2, RT3]),
+        lambda: trace_range(_TWO_FIELDS),
+        lambda: pfaffian(_TWO_FIELDS),
+    ],
+    ids=["integral_solution_lattice", "TraceRange", "trace_range", "pfaffian"],
+)
+def test_mixed_fields_raise(build):
+    with pytest.raises(IncompatibleField):
+        build()
 
 
 class TestTraceRange:

@@ -5,7 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from nctori.exactlin import Scalar, hnf, mat_identity, mat_mul, mat_transpose
+from nctori import twisted
+from nctori.exactlin import (
+    Scalar,
+    hnf,
+    int_inverse_unimodular,
+    mat_identity,
+    mat_mul,
+    mat_transpose,
+    snf,
+    solve_rows,
+)
 from nctori.invariants import TraceRange, morita_equivalent, trace_range
 from nctori.reduction import SkewMatrix
 from nctori.twisted import (
@@ -467,3 +477,175 @@ class TestMoritaTga:
             assert v_torus.kind == v_tga.kind
             if v_torus.is_equivalent:
                 assert v_torus.mu == v_tga.mu
+
+
+# The Scalar-by-Scalar bicharacter code that the packed products replaced,
+# kept as oracles ------------------------------------------------------------
+
+
+def oracle_invalid(group, rows):
+    """The InvalidBicharacter message of the Scalar checks, or None."""
+    n = group.ngens
+    rows = tuple(tuple(Scalar.of(x) for x in r) for r in rows)
+    if len(rows) != n or any(len(r) != n for r in rows):
+        return f"exponent matrix must be {n}x{n}"
+    for i in range(n):
+        if not rows[i][i].is_integer():
+            return "diagonal exponents must be integers"
+        for j in range(i + 1, n):
+            if not (rows[i][j] + rows[j][i]).is_integer():
+                return "matrix must be skew-symmetric modulo Z"
+    for i, m in enumerate(group.generator_orders()):
+        if not m:
+            continue
+        for j in range(n):
+            for val in (rows[i][j], rows[j][i]):
+                if not (m * val).is_integer():
+                    return f"order-{m} generator {i} pairs by a non m-th root"
+    return None
+
+
+def oracle_pairing(exponents, x, y):
+    acc = Scalar(0)
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in enumerate(y):
+            if yj:
+                acc = acc + xi * exponents[i][j] * yj
+    return acc
+
+
+def oracle_present_quotient(sigma, carrier_rows, relation_rows):
+    """twisted._present_quotient with the induced matrix built entry by entry."""
+    ell = len(carrier_rows)
+    if ell == 0:
+        return Bicharacter(FgGroup(0), [])
+    coords = solve_rows(carrier_rows, relation_rows)
+    if coords:
+        s, _, v = snf(coords)
+        orders = [s[i][i] if i < min(len(coords), ell) else 0 for i in range(ell)]
+        lifts_w = int_inverse_unimodular(v)
+    else:
+        orders = [0] * ell
+        lifts_w = mat_identity(ell)
+    lift_rows = mat_mul(lifts_w, carrier_rows)
+    perm = [i for i in range(ell) if orders[i] == 0] + [i for i in range(ell) if orders[i] >= 2]
+    group = FgGroup(
+        sum(1 for o in orders if o == 0), tuple(o for o in orders if o >= 2)
+    )
+
+    def induced(a, b):
+        val = oracle_pairing(sigma.exponents, lift_rows[a], lift_rows[b])
+        return Scalar(val.rat - math.floor(val.rat), val.quad, val.d)
+
+    return Bicharacter(group, [[induced(a, b) for b in perm] for a in perm])
+
+
+CHAINS = [(), (2,), (3,), (4,), (6,), (2, 2), (2, 4), (3, 3), (2, 6), (2, 2, 4), (6, 6, 6)]
+BREAKS = ("diagonal", "skew", "root", "sqrt-torsion")
+
+
+def random_exponents(rng, group, quad):
+    """A valid exponent matrix on the group: skew mod Z, integer diagonal,
+    m-th roots on torsion rows; sqrt 2 parts only between free generators."""
+    orders = group.generator_orders()
+    n = group.ngens
+    rows = [[Scalar(rng.randint(-2, 2)) if i == j else Scalar(0) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            q = math.gcd(orders[i], orders[j]) or rng.randint(1, 6)
+            v = Scalar(Fraction(rng.randint(-7, 7), q))
+            if quad and not (orders[i] or orders[j]) and rng.random() < 0.6:
+                v = v + Fraction(rng.randint(-3, 3), rng.randint(1, 4)) * RT2
+            rows[i][j], rows[j][i] = v, rng.randint(-1, 1) - v
+    return rows
+
+
+def break_exponents(rng, group, rows, kind):
+    """Violate one bicharacter constraint in place; False when the group is
+    too small for the kind."""
+    orders = group.generator_orders()
+    n = group.ngens
+    if kind == "diagonal":
+        i = rng.randrange(n)
+        rows[i][i] = rows[i][i] + rng.choice([Fraction(1, 2), Fraction(2, 3), RT2])
+        return True
+    if n < 2:
+        return False
+    if kind == "skew":
+        i, j = rng.sample(range(n), 2)
+        rows[i][j] = rows[i][j] + rng.choice([Fraction(1, 5), Fraction(-1, 7), RT2 / 3])
+        return True
+    tors = [i for i, m in enumerate(orders) if m]
+    if not tors:
+        return False
+    i = rng.choice(tors)
+    j = rng.choice([k for k in range(n) if k != i])
+    if kind == "root":
+        # a 1/(m p) step keeps the pair skew but is no m-th root
+        v = Scalar(Fraction(1, orders[i] * rng.choice([5, 7])))
+    else:
+        # an m-th root plus a sqrt 2 part, still skew
+        v = Scalar(Fraction(rng.randint(0, 1), orders[i])) + rng.choice([1, -2]) * RT2
+    # either orientation: the torsion generator's row or its column
+    if rng.random() < 0.5:
+        i, j = j, i
+    rows[i][j] = rows[i][j] + v
+    rows[j][i] = rows[j][i] - v
+    return True
+
+
+class TestPackedAgainstScalarOracle:
+    def test_differential(self, monkeypatch):
+        rng = random.Random(89)
+        valid, rejected = [], {}
+        while len(valid) + sum(rejected.values()) < 240:
+            group = FgGroup(rng.randint(0, 3), rng.choice(CHAINS))
+            if group.ngens == 0:
+                continue
+            rows = random_exponents(rng, group, quad=rng.random() < 0.5)
+            kind = rng.choice(BREAKS) if rng.random() < 0.5 else None
+            if kind and not break_exponents(rng, group, rows, kind):
+                continue
+            expect = oracle_invalid(group, rows)
+            try:
+                sigma = Bicharacter(group, rows)
+                got = None
+            except InvalidBicharacter as exc:
+                got = str(exc)
+            assert got == expect, (group, rows)
+            if expect is None:
+                valid.append(sigma)
+            else:
+                key = (kind, "root" if expect.startswith("order-") else expect)
+                rejected[key] = rejected.get(key, 0) + 1
+        # every check is hit, the root check by a rational and by a sqrt 2 part
+        for key in [
+            ("diagonal", "diagonal exponents must be integers"),
+            ("skew", "matrix must be skew-symmetric modulo Z"),
+            ("root", "root"),
+            ("sqrt-torsion", "root"),
+        ]:
+            assert rejected.get(key, 0) >= 10, key
+        assert len(valid) >= 80
+
+        for sigma in valid:
+            n = sigma.group.ngens
+            for _ in range(3):
+                x = [rng.randint(-3, 3) for _ in range(n)]
+                y = [rng.randint(-3, 3) for _ in range(n)]
+                assert sigma.pairing_exponent(x, y) == oracle_pairing(sigma.exponents, x, y)
+        assert standard_pair(2).pairing_exponent([], []) == 0
+        assert Bicharacter(FgGroup(0), []).pairing_exponent([], []) == 0
+
+        def results():
+            out = []
+            for sigma in valid:
+                q = simple_quotient(sigma)
+                out.append((q.group, q.exponents, trace_range_tga(sigma)))
+            return out
+
+        packed = results()
+        monkeypatch.setattr(twisted, "_present_quotient", oracle_present_quotient)
+        assert results() == packed
