@@ -26,6 +26,7 @@ SEARCH_HEIGHT (a nonnegative integer) overrides the bounded mu-search height
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -356,7 +357,8 @@ def cmd_verify(_args) -> int:
     return EXIT_VERIFY if failures else EXIT_OK
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nctori",
         description="exact Morita-equivalence invariants of noncommutative tori",
@@ -381,8 +383,11 @@ def main(argv=None) -> int:
         help="replay the built-in reference inputs and verify their outputs",
     )
     p.set_defaults(func=cmd_verify)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ProblemSyntaxError as exc:

@@ -10,8 +10,10 @@ Conventions used throughout the package:
   (A + B*sqrt(d))/den with A and B integer matrices.  :func:`_pack` is the
   one converter into that form and the one place that rejects a second
   quadratic field; every module that computes on integer pairs takes them
-  from it.  Every determinant, rank and inverse comes from one
-  fraction-free elimination, :func:`_bareiss`.
+  from it.  The packed operations _pmul, _pinv, _psolve, _pdet and _prank
+  stay in that form, so chains of them unpack once; smat_mul, smat_inv,
+  smat_det and smat_rank are their wrappers.  Every determinant, rank and
+  inverse comes from one fraction-free elimination, :func:`_bareiss`.
 
 Everything here is pure: no function mutates its arguments.
 """
@@ -279,9 +281,7 @@ def mat_mul(a, b) -> list[list]:
 
 def int_det(rows) -> int:
     """Exact determinant of a square integer matrix (see :func:`_bareiss`)."""
-    n = len(rows)
-    rank, sign, (u, _) = _bareiss(None, mat_copy(rows), None, n)
-    return sign * u if rank == n else 0
+    return _pdet((None, 1, rows, None))[0]
 
 
 def _sub_row(mat, i, r, q):
@@ -655,11 +655,10 @@ def extend_summand_basis(lat: IntLattice) -> list[list[int]]:
 # matrices over Q(sqrt d)
 #
 # At the API a matrix over Q(sqrt d) is a list of lists of Scalar (ints and
-# Fractions are accepted too).  Inside, the smat_* functions hold it as a
-# tuple (d, den, A, B) meaning (A + B sqrt d) / den, with A and B plain
-# integer matrices, den a nonzero int, and d = B = None for a rational
-# matrix.  smat_det, smat_rank, smat_inv and int_det share the one
-# elimination routine, :func:`_bareiss`.
+# Fractions are accepted too).  Packed, it is a tuple (d, den, A, B) meaning
+# (A + B sqrt d) / den, with A and B plain integer matrices, den a nonzero
+# int, and d = B = None for a rational matrix.  The _p* operations take and
+# return that form; each smat_* function packs, runs one, and unpacks.
 
 
 def smat_transpose(rows) -> list[list[Scalar]]:
@@ -700,47 +699,98 @@ def _unpack(d, den, a, b) -> list[list[Scalar]]:
     return [[over(x, y, den, d) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def smat_mul(a, b) -> list[list[Scalar]]:
-    """Exact product over Q(sqrt d), as integer products over den1 * den2:
+def _reduced(d, den, a, b) -> tuple:
+    """The packed matrix over its least denominator, d = B = None once B
+    vanishes: the integers of a chain of packed operations do not grow."""
+    if b is not None and not any(map(any, b)):
+        d = b = None
+    g = math.gcd(den, *(x for r in a for x in r), *(x for r in b or () for x in r))
+    if g != 1:
+        a = [[x // g for x in r] for r in a]
+        b = b and [[x // g for x in r] for r in b]
+    return d, den // g, a, b
+
+
+def _pmul(p, q) -> tuple:
+    """Packed product, as integer products over den1 * den2:
     (A1 + B1 rt)(A2 + B2 rt) = (A1 A2 + d B1 B2) + (A1 B2 + B1 A2) rt."""
-    d1, den1, a1, b1 = _pack(a)
-    d2, den2, a2, b2 = _pack(b)
+    d1, den1, a1, b1 = p
+    d2, den2, a2, b2 = q
     if d1 is not None and d2 is not None and d1 != d2:
         raise IncompatibleField(f"cannot mix sqrt({d1}) with sqrt({d2})")
     rat = mat_mul(a1, a2)
-    if b1 is None and b2 is None:
-        return _unpack(None, den1 * den2, rat, None)
-    if b1 is None:
+    quad = None
+    if b1 is None and b2 is not None:
         quad = mat_mul(a1, b2)
-    elif b2 is None:
+    elif b2 is None and b1 is not None:
         quad = mat_mul(b1, a2)
-    else:
+    elif b1 is not None:
         rat = [[x + d1 * y for x, y in zip(r, s)] for r, s in zip(rat, mat_mul(b1, b2))]
-        quad = [
-            [x + y for x, y in zip(r, s)] for r, s in zip(mat_mul(a1, b2), mat_mul(b1, a2))
-        ]
-    return _unpack(d1 or d2, den1 * den2, rat, quad)
+        quad = [[x + y for x, y in zip(r, s)] for r, s in zip(mat_mul(a1, b2), mat_mul(b1, a2))]
+    return _reduced(d1 or d2, den1 * den2, rat, quad)
 
 
-def _bareiss(d, a, b, ncols: int, jordan: bool = False) -> tuple[int, int, tuple[int, int]]:
+def smat_mul(a, b) -> list[list[Scalar]]:
+    """Exact product over Q(sqrt d); see :func:`_pmul`."""
+    return _unpack(*_pmul(_pack(a), _pack(b)))
+
+
+def _bareiss_step(d, a, b, r, col, rows, u, v) -> tuple[int, int]:
+    """Eliminate column col of `rows` against pivot row r, u + v sqrt d the
+    previous pivot, as in :func:`_bareiss`; returns the new pivot."""
+    ya = a[r][col + 1:]
+    ka = a[r][col]
+    if b is None:
+        for i in rows:
+            row = a[i]
+            f = row[col]
+            row[col + 1:] = [(ka * x - f * y) // u for x, y in zip(row[col + 1:], ya)]
+            row[col] = 0
+        return ka, 0
+    yb = b[r][col + 1:]
+    kb = b[r][col]
+    dkb = d * kb
+    nrm = u * u - d * v * v
+    dv = d * v
+    for i in rows:
+        ra, rb = a[i], b[i]
+        fa, fb = ra[col], rb[col]
+        dfb = d * fb
+        xs = list(zip(ra[col + 1:], rb[col + 1:], ya, yb))
+        ta = [ka * xa + dkb * xb - fa * y1 - dfb * y2 for xa, xb, y1, y2 in xs]
+        tb = [ka * xb + kb * xa - fa * y2 - fb * y1 for xa, xb, y1, y2 in xs]
+        if v:
+            ra[col + 1:] = [(s * u - dv * t) // nrm for s, t in zip(ta, tb)]
+            rb[col + 1:] = [(t * u - v * s) // nrm for s, t in zip(ta, tb)]
+        else:
+            ra[col + 1:] = [s // u for s in ta]
+            rb[col + 1:] = [t // u for t in tb]
+        ra[col] = rb[col] = 0
+    return ka, kb
+
+
+def _bareiss(p, ncols: int, jordan: bool = False) -> tuple:
     """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) over Z[sqrt d].
 
-    Works in place on the matrix A + B sqrt d (B None for a rational one) and
-    on its first ncols columns; columns past ncols ride along.  The pivot of
-    a column is its first nonzero entry at or below the current row.  Every
-    other row below it (with jordan, every other row) becomes
-    (p x - f y) / prev, with p the pivot, f the row's entry in the pivot
-    column, y the pivot row and prev the previous pivot.  Each such entry is
-    then a minor of the input (Sylvester's identity), so the division is
-    exact; by u + v sqrt d it is x (u - v sqrt d) / (u^2 - d v^2).
+    Works on a copy of the numerator A + B sqrt d of the packed matrix p (B
+    None for a rational one) and on its first ncols columns; columns past
+    ncols ride along.  The pivot of a column is its first nonzero entry at
+    or below the current row.  Every other row below it (with jordan, every
+    other row) becomes (p x - f y) / prev, with p the pivot, f the row's
+    entry in the pivot column, y the pivot row and prev the previous pivot.
+    Each such entry is then a minor of the input (Sylvester's identity), so
+    the division is exact; by u + v sqrt d it is x (u - v sqrt d) /
+    (u^2 - d v^2).
 
-    Returns (rank, sign of the row permutation, last pivot as (u, v)).  For
-    a square input of full rank the last pivot times the sign is the
-    determinant.  With jordan the pivot rows of earlier steps are updated
-    too, except in the pivot columns left of the current one, which no
-    caller reads: [N | I] ends with p N^-1 in its right block, p the last
-    pivot.
+    Returns (rank, sign of the row permutation, last pivot as (u, v), the
+    eliminated (A, B)).  For a square input of full rank the last pivot
+    times the sign is the determinant.  With jordan the pivot rows of
+    earlier steps are updated too, except in the pivot columns left of the
+    current one, which no caller reads: [F | E] ends with p F^-1 E in its
+    right block, p the last pivot.
     """
+    d, _, a, b = p
+    a, b = mat_copy(a), b and mat_copy(b)
     m = len(a)
     rank = 0
     sign = 1
@@ -760,77 +810,60 @@ def _bareiss(d, a, b, ncols: int, jordan: bool = False) -> tuple[int, int, tuple
                 b[rank], b[piv] = b[piv], b[rank]
             sign = -sign
         rows = [i for i in (range(m) if jordan else range(rank + 1, m)) if i != rank]
-        ya = a[rank][col + 1:]
-        ka = a[rank][col]
-        if b is None:
-            for i in rows:
-                row = a[i]
-                f = row[col]
-                row[col + 1:] = [(ka * x - f * y) // u for x, y in zip(row[col + 1:], ya)]
-                row[col] = 0
-            u = ka
-        else:
-            yb = b[rank][col + 1:]
-            kb = b[rank][col]
-            dkb = d * kb
-            nrm = u * u - d * v * v
-            dv = d * v
-            for i in rows:
-                ra, rb = a[i], b[i]
-                fa, fb = ra[col], rb[col]
-                dfb = d * fb
-                xs = list(zip(ra[col + 1:], rb[col + 1:], ya, yb))
-                ta = [ka * xa + dkb * xb - fa * y1 - dfb * y2 for xa, xb, y1, y2 in xs]
-                tb = [ka * xb + kb * xa - fa * y2 - fb * y1 for xa, xb, y1, y2 in xs]
-                if v:
-                    ra[col + 1:] = [(s * u - dv * t) // nrm for s, t in zip(ta, tb)]
-                    rb[col + 1:] = [(t * u - v * s) // nrm for s, t in zip(ta, tb)]
-                else:
-                    ra[col + 1:] = [s // u for s in ta]
-                    rb[col + 1:] = [t // u for t in tb]
-                ra[col] = rb[col] = 0
-            u, v = ka, kb
+        u, v = _bareiss_step(d, a, b, rank, col, rows, u, v)
         rank += 1
-    return rank, sign, (u, v)
+    return rank, sign, (u, v), (a, b)
+
+
+def _pdet(p) -> tuple[int, int]:
+    """(u, v) with det(A + B sqrt d) = u + v sqrt d; the determinant is that over den^n."""
+    n = len(p[2])
+    rank, sign, (u, v), _ = _bareiss(p, n)
+    return (sign * u, sign * v) if rank == n else (0, 0)
 
 
 def smat_det(rows) -> Scalar:
     """Exact determinant over Q(sqrt d): det(A + B sqrt d) / den^n."""
-    n = len(rows)
-    d, den, a, b = _pack(rows)
-    rank, sign, (u, v) = _bareiss(d, a, b, n)
-    if rank < n:
-        return Scalar(0)
-    return Scalar._over(sign * u, sign * v, den**n, d)
+    d, den, a, b = p = _pack(rows)
+    return Scalar._over(*_pdet(p), den ** len(a), d)
+
+
+def _prank(p) -> int:
+    return _bareiss(p, len(p[2][0]) if p[2] else 0)[0]
 
 
 def smat_rank(rows) -> int:
-    d, _, a, b = _pack(rows)
-    return _bareiss(d, a, b, len(a[0]) if a else 0)[0]
+    return _prank(_pack(rows))
+
+
+def _psolve(p) -> tuple:
+    """F^-1 E for the packed [F | E], F square; ValueError when F is singular.
+
+    Gauss-Jordan on the numerators [N_F | N_E] (den cancels) leaves R =
+    q N_F^-1 N_E on the right, q = u + v sqrt d the last pivot, so
+    F^-1 E = R (u - v sqrt d) / (u^2 - d v^2)."""
+    d, k = p[0], len(p[2])
+    rank, _, (u, v), (a, b) = _bareiss(p, k, jordan=True)
+    if rank < k:
+        raise ValueError("singular matrix")
+    if b is None:
+        return _reduced(None, u, [r[k:] for r in a], None)
+    return _reduced(
+        d,
+        u * u - d * v * v,
+        [[x * u - d * y * v for x, y in zip(r[k:], s[k:])] for r, s in zip(a, b)],
+        [[y * u - x * v for x, y in zip(r[k:], s[k:])] for r, s in zip(a, b)],
+    )
+
+
+def _pinv(p) -> tuple:
+    """Packed inverse, M^-1 = M^-1 I read from [M | I]."""
+    d, den, a, b = p
+    n = len(a)
+    a = [list(r) + [den * (i == j) for j in range(n)] for i, r in enumerate(a)]
+    return _psolve((d, den, a, b and [list(r) + [0] * n for r in b]))
 
 
 def smat_inv(rows) -> list[list[Scalar]]:
-    """Exact inverse over Q(sqrt d); raises ValueError on singular input.
-
-    Gauss-Jordan on [N | I], N = A + B sqrt d = den M, leaves p N^-1 in the
-    right block R, p = u + v sqrt d the last pivot; so M^-1 = den R / p,
-    that is den R (u - v sqrt d) / (u^2 - d v^2), one division per entry.
-    """
-    n = len(rows)
-    d, den, a, b = _pack(rows)
-    for i, r in enumerate(a):
-        r.extend(int(i == j) for j in range(n))
-    if b is not None:
-        for r in b:
-            r.extend([0] * n)
-    rank, _, (u, v) = _bareiss(d, a, b, n, jordan=True)
-    if rank < n:
-        raise ValueError("singular matrix")
-    if b is None:
-        return _unpack(None, u, [[den * x for x in r[n:]] for r in a], None)
-    return _unpack(
-        d,
-        u * u - d * v * v,
-        [[den * (x * u - d * y * v) for x, y in zip(r[n:], s[n:])] for r, s in zip(a, b)],
-        [[den * (y * u - x * v) for x, y in zip(r[n:], s[n:])] for r, s in zip(a, b)],
-    )
+    """Exact inverse over Q(sqrt d); raises ValueError on singular input."""
+    return _unpack(*_pinv(_pack(rows)))

@@ -12,17 +12,23 @@ from dataclasses import dataclass
 from .exactlin import (
     IntLattice,
     Scalar,
+    _bareiss_step,
+    _hermite,
+    _pack,
+    _pdet,
+    _pinv,
+    _pmul,
+    _prank,
+    _psolve,
     complete_to_basis,
     int_det,
     left_kernel,
+    mat_copy,
     mat_identity,
     mat_mul,
+    mat_transpose,
     saturate,
-    smat_det,
-    smat_inv,
     smat_mul,
-    smat_rank,
-    smat_transpose,
     solve_rows,
 )
 
@@ -46,12 +52,6 @@ def pairing(x, y) -> Scalar:
     return smat_mul([x], [[v] for v in (*y[n:], *y[:n])])[0][0]
 
 
-def _ipair(x, y) -> int:
-    # integer fast path of `pairing`
-    n = len(x) // 2
-    return sum(x[j] * y[n + j] + x[n + j] * y[j] for j in range(n))
-
-
 @dataclass(frozen=True)
 class CompatibleBasis:
     """A basis of Z^{2n} compatible with the hyperbolic form."""
@@ -62,19 +62,21 @@ class CompatibleBasis:
 
     def __post_init__(self):
         n = self.n
-        vecs = list(self.e) + list(self.f)
+        vecs = [list(v) for v in (*self.e, *self.f)]
         if len(self.e) != n or len(self.f) != n:
             raise ValueError("need n vectors in each half")
         for v in vecs:
             if len(v) != 2 * n:
                 raise ValueError("basis vectors must have length 2n")
+        # all pairings at once: the vectors times their half-swapped transpose
+        gram = mat_mul(vecs, mat_transpose([v[n:] + v[:n] for v in vecs]))
         for i in range(n):
             for j in range(n):
-                if _ipair(self.e[i], self.e[j]) or _ipair(self.f[i], self.f[j]):
+                if gram[i][j] or gram[n + i][n + j]:
                     raise NotIsotropic("basis halves must be isotropic")
-                if _ipair(self.e[i], self.f[j]) != (1 if i == j else 0):
+                if gram[i][n + j] != (1 if i == j else 0):
                     raise ValueError("<e_i, f_j> must be delta_ij")
-        if abs(int_det([list(v) for v in vecs])) != 1:
+        if abs(int_det(vecs)) != 1:
             raise ValueError("vectors do not form a basis of Z^{2n}")
 
     @classmethod
@@ -101,18 +103,22 @@ class IsotropicSubspace:
         rows = [list(r) for r in self.basis]
         if len(rows) != self.dim:
             raise ValueError("dim does not match the number of basis vectors")
-        if not rows:
-            return
-        width = len(rows[0])
-        if width % 2 or any(len(r) != width for r in rows):
+        if any(len(r) % 2 or len(r) != len(rows[0]) for r in rows):
             raise ValueError("pairing needs two vectors of one even length")
-        # all pairings at once: the rows times their half-swapped transpose
-        h = width // 2
-        gram = smat_mul(rows, smat_transpose([r[h:] + r[:h] for r in rows]))
-        if any(x for r in gram for x in r):
-            raise NotIsotropic("subspace is not isotropic")
-        if smat_rank(rows) != self.dim:
-            raise ValueError("basis vectors are linearly dependent")
+        _check_isotropic(_pack(rows), self.dim)
+
+
+def _check_isotropic(p, dim: int, what: str = "subspace") -> None:
+    """The checks of :class:`IsotropicSubspace` on packed rows: all pairings
+    at once, the rows times their half-swapped transpose, then the rank."""
+    d, den, a, b = p
+    h = len(a[0]) // 2 if a else 0
+    swapped = [m and mat_transpose([r[h:] + r[:h] for r in m]) for m in (a, b)]
+    gram = _pmul(p, (d, den, *swapped))
+    if gram[3] is not None or any(map(any, gram[2])):
+        raise NotIsotropic(f"{what} is not isotropic")
+    if _prank(p) != dim:
+        raise ValueError("basis vectors are linearly dependent")
 
 
 def complete_isotropic_basis(lat: IntLattice) -> CompatibleBasis:
@@ -130,14 +136,12 @@ def complete_isotropic_basis(lat: IntLattice) -> CompatibleBasis:
     if N % 2:
         raise ValueError("ambient dimension must be even")
     n = N // 2
-    if saturate(lat) != lat:
+    # the rows span a direct summand exactly when the columns span Z^r
+    r = lat.rank
+    if _hermite(mat_transpose(lat.basis), r)[:r] != mat_identity(r):
         raise NotSaturated("lattice is not a direct summand of Z^{2n}")
     rows_m = [list(r) for r in lat.basis]
-    r = len(rows_m)
-    for i in range(r):
-        for j in range(i, r):
-            if _ipair(rows_m[i], rows_m[j]):
-                raise NotIsotropic("lattice is not isotropic")
+    _check_isotropic((None, 1, rows_m, None), r, "lattice")
 
     # W = {(0|w) : <(0|w), M> = 0}; the pairing only sees first halves of M
     if r:
@@ -154,25 +158,18 @@ def complete_isotropic_basis(lat: IntLattice) -> CompatibleBasis:
     assert None not in coords
     change = complete_to_basis(coords, n)
     evecs = mat_mul(change, [list(b) for b in big.basis])
-    for i in range(n):
-        for j in range(i, n):
-            assert _ipair(evecs[i], evecs[j]) == 0
+    _check_isotropic((None, 1, evecs, None), n)
 
     # dual-basis preimages: <h_j, e_i> = delta_ij
-    flipped = [row[n:] + row[:n] for row in evecs]
-    apair = [[flipped[i][x] for i in range(n)] for x in range(2 * n)]
+    apair = mat_transpose([row[n:] + row[:n] for row in evecs])
     hvecs = solve_rows(apair, mat_identity(n))
     assert None not in hvecs, "dual basis must be attainable (summand saturated)"
-    fvecs = []
-    for j, h in enumerate(hvecs):
-        diag = _ipair(h, h)
-        assert diag % 2 == 0
-        f = [x - (diag // 2) * y for x, y in zip(h, evecs[j])]
-        for k in range(j):
-            c = _ipair(h, fvecs[k])
-            if c:
-                f = [x - c * y for x, y in zip(f, evecs[k])]
-        fvecs.append(f)
+    # <h_j, f_k> = <h_j, h_k> for k < j, as <h_j, e_k> = 0: every
+    # coefficient of the correction comes from one Gram product of the h_j
+    gram = mat_mul(hvecs, mat_transpose([h[n:] + h[:n] for h in hvecs]))
+    assert all(gram[j][j] % 2 == 0 for j in range(n))
+    coef = [[*g[:j], g[j] // 2] + [0] * (n - j - 1) for j, g in enumerate(gram)]
+    fvecs = [[x - y for x, y in zip(h, c)] for h, c in zip(hvecs, mat_mul(coef, evecs))]
 
     # swap the halves so that M lands in the f slots; compatibility is
     # symmetric in e and f, and the constructor re-verifies everything
@@ -184,25 +181,26 @@ def complete_isotropic_basis(lat: IntLattice) -> CompatibleBasis:
 
 
 def choose_sign_vector(rows) -> tuple[int, ...]:
-    """Signs zeta in {+1,-1}^n with det(A - diag(zeta)) != 0.
+    """Signs zeta in {+1,-1}^n with det(A - diag(zeta)) != 0."""
+    return _sign_vector(_pack(rows))
 
-    Inductive choice: extend a valid sign vector one entry at a time, trying
-    +1 before -1; one of the two always keeps the leading minor invertible.
-    """
-    n = len(rows)
-    zeta: list[int] = []
-    for k in range(n):
-        for cand in (1, -1):
-            trial = zeta + [cand]
-            minor = [
-                [x - trial[i] if i == j else x for j, x in enumerate(rows[i][: k + 1])]
-                for i in range(k + 1)
-            ]
-            if smat_det(minor):
-                zeta = trial
-                break
-        else:
-            raise AssertionError("no sign extension kept the minor invertible")
+
+def _sign_vector(p) -> tuple[int, ...]:
+    """:func:`choose_sign_vector` on a packed A = N/den: one Bareiss pass over
+    N - den diag(zeta) without row swaps.  Its k-th pivot, the k-th leading
+    minor, is linear in zeta_k with slope -den times the previous pivot, so
+    zeta_k = +1 unless that pivot vanishes, and then -1 cannot vanish."""
+    d, den, a, b = p
+    a, b = mat_copy(a), b and mat_copy(b)
+    zeta = []
+    u, v = 1, 0
+    for k in range(len(a)):
+        z = 1 if a[k][k] != den * u or (b is not None and b[k][k] != den * v) else -1
+        a[k][k] -= z * den * u
+        if b is not None:
+            b[k][k] -= z * den * v
+        zeta.append(z)
+        u, v = _bareiss_step(d, a, b, k, k, range(k + 1, len(a)), u, v)
     return tuple(zeta)
 
 
@@ -214,24 +212,27 @@ def select_transversal(basis: CompatibleBasis, subspace) -> tuple[tuple, tuple]:
     Returns (eta, swapped) where swapped[j] is True when eta_j = f_j.
     """
     rows = list(subspace.basis) if isinstance(subspace, IsotropicSubspace) else [list(r) for r in subspace]
+    return _transversal(basis, _pack(rows))
+
+
+def _transversal(basis: CompatibleBasis, p) -> tuple[tuple, tuple]:
+    """:func:`select_transversal` on the packed rows of the subspace."""
+    d, den, a, b = p
     n = basis.n
-    if len(rows) != n:
+    if len(a) != n:
         raise ValueError("transversal selection needs dim V = n")
-    uvecs = [[a + b for a, b in zip(e, f)] for e, f in zip(basis.e, basis.f)]
-    vvecs = [[a - b for a, b in zip(e, f)] for e, f in zip(basis.e, basis.f)]
-    coords = smat_mul(rows, smat_inv(uvecs + vvecs))
-    ma = [row[:n] for row in coords]
-    mb = [row[n:] for row in coords]
+    # coordinates [M_a | M_b] in the basis u_j = e_j + f_j, v_j = e_j - f_j
+    uv = [[x + s * y for x, y in zip(e, f)] for s in (1, -1) for e, f in zip(basis.e, basis.f)]
+    coords = _pmul(p, _pinv((None, 1, uv, None)))
     try:
-        ma_inv = smat_inv(ma)
+        graph_map = _psolve(coords)
     except ValueError:
         raise NotIsotropic(
             "subspace meets the span of the e_j - f_j, so it is not a graph"
         ) from None
-    graph_map = smat_mul(ma_inv, mb)
-    zeta = choose_sign_vector(graph_map)
+    zeta = _sign_vector(graph_map)
     eta = tuple(basis.e[j] if zeta[j] == 1 else basis.f[j] for j in range(n))
     swapped = tuple(z == -1 for z in zeta)
-    stack = [list(v) for v in eta] + rows
-    assert smat_det(stack), "chosen transversal still meets the subspace"
+    stack = [[den * x for x in v] for v in eta] + a, b and [[0] * (2 * n) for _ in eta] + b
+    assert any(_pdet((d, den, *stack))), "chosen transversal still meets the subspace"
     return eta, swapped

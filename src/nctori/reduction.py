@@ -9,22 +9,25 @@ from dataclasses import dataclass
 from .exactlin import (
     IntLattice,
     Scalar,
+    _pack,
+    _pdet,
+    _pinv,
+    _pmul,
+    _psolve,
+    _unpack,
     int_det,
     int_inverse_unimodular,
     integral_solution_lattice,
     mat_identity,
     mat_mul,
     mat_transpose,
-    smat_det,
-    smat_inv,
-    smat_mul,
     smat_transpose,
 )
 from .hyperlattice import (
     CompatibleBasis,
-    IsotropicSubspace,
+    _check_isotropic,
+    _transversal,
     complete_isotropic_basis,
-    select_transversal,
 )
 
 ONN_NO = "no"
@@ -49,7 +52,8 @@ class SkewMatrix:
                 raise ValueError("matrix must be square")
         for i in range(n):
             for j in range(i, n):
-                if rows[i][j] != -rows[j][i]:
+                x, y = rows[i][j], rows[j][i]
+                if x.rat != -y.rat or x.quad != -y.quad or x.d != y.d:
                     raise ValueError("matrix is not skew-symmetric")
         self.n = n
         self.rows = rows
@@ -106,8 +110,8 @@ def _blocks(mat):
 def is_in_onn(mat) -> str:
     """Classify an integer matrix: "no", "O-" (det -1) or "SO" (det +1).
 
-    Membership in O(n,n|Z) is the block test A^t C + C^t A = 0 = B^t D +
-    D^t B together with A^t D + C^t B = I.
+    Membership in O(n,n|Z) is g^t J g = J, J = [[0, I], [I, 0]], that is
+    A^t C + C^t A = 0 = B^t D + D^t B and A^t D + C^t B = I.
     """
     mat = [list(map(int, r)) for r in mat]
     n2 = len(mat)
@@ -117,20 +121,9 @@ def is_in_onn(mat) -> str:
         if len(r) != n2:
             raise ValueError("matrix must be square")
     n = n2 // 2
-    a, b, c, d = _blocks(mat)
-    at, bt, ct, dt = map(mat_transpose, (a, b, c, d))
-    zero = [[0] * n for _ in range(n)]
-
-    def madd(x, y):
-        return [[p + q for p, q in zip(rx, ry)] for rx, ry in zip(x, y)]
-
-    if n:
-        if madd(mat_mul(at, c), mat_mul(ct, a)) != zero:
-            return ONN_NO
-        if madd(mat_mul(bt, d), mat_mul(dt, b)) != zero:
-            return ONN_NO
-        if madd(mat_mul(at, d), mat_mul(ct, b)) != mat_identity(n):
-            return ONN_NO
+    form = [r[n:] + r[:n] for r in mat_identity(n2)]
+    if mat_mul(mat_transpose(mat), mat[n:] + mat[:n]) != form:
+        return ONN_NO
     det = int_det(mat)
     assert det in (1, -1), "block relations force det = +-1"
     return ONN_SO if det == 1 else ONN_MINUS
@@ -190,14 +183,16 @@ def act(g: ONNElement, theta: SkewMatrix) -> SkewMatrix:
     """
     if g.n != theta.n:
         raise ValueError("dimension mismatch")
-    # C theta + D and A theta + B, each as one product with [theta; I]
-    lift = [list(r) for r in theta.rows] + mat_identity(g.n)
-    cd = smat_mul([c + d for c, d in zip(g.c, g.d)], lift)
-    if not smat_det(cd):
+    # C theta + D and A theta + B, each as one packed product with [I; theta]
+    d, den, ta, tb = _pack(theta.rows)
+    eye = [[den * x for x in r] for r in mat_identity(g.n)]
+    lift = d, den, eye + ta, tb and [[0] * g.n for _ in eye] + tb
+    cd = _pmul((None, 1, [x + y for x, y in zip(g.d, g.c)], None), lift)
+    if not any(_pdet(cd)):
         raise ActionUndefined("C @ theta + D is singular")
     assert g.det_sign == 1, "a defined action forces membership in SO(n,n|Z)"
-    ab = smat_mul([a + b for a, b in zip(g.a, g.b)], lift)
-    return SkewMatrix(smat_mul(ab, smat_inv(cd)))
+    ab = _pmul((None, 1, [x + y for x, y in zip(g.b, g.a)], None), lift)
+    return SkewMatrix(_unpack(*_pmul(ab, _pinv(cd))))
 
 
 def compose(g1: ONNElement, g2: ONNElement) -> ONNElement:
@@ -251,20 +246,25 @@ def canonical_form(theta: SkewMatrix) -> CanonicalForm:
     r = degen.rank
     k = n - r
 
-    # M = {(theta y, y) : y in the degeneracy lattice}; theta y = y theta^t
-    images = smat_mul([list(y) for y in degen.basis], smat_transpose(theta.rows))
-    lat = IntLattice(
-        2 * n, [[x.as_int() for x in img] + list(y) for img, y in zip(images, degen.basis)]
-    )
+    # the matrices stay packed from here to theta'; theta is skew, so
+    # theta y = -(y theta) and column j of theta is minus its row j
+    d, den, ta, tb = th = _pack(theta.rows)
+    _, one, images, quad = _pmul((None, 1, [list(y) for y in degen.basis], None), th)
+    assert one == 1 and quad is None, "the degeneracy lattice maps into Z^n"
+    # M = {(theta y, y) : y in the degeneracy lattice}
+    lat = IntLattice(2 * n, [[-x for x in img] + list(y) for img, y in zip(images, degen.basis)])
     base = complete_isotropic_basis(lat)
 
-    graph_rows = tuple(
-        tuple(theta.column(j)) + tuple(Scalar(1 if i == j else 0) for i in range(n))
-        for j in range(n)
+    # the graph V, rows (theta e_j, e_j)
+    graph = (
+        d,
+        den,
+        [[-x for x in r] + [den * (i == j) for j in range(n)] for i, r in enumerate(ta)],
+        tb and [[-x for x in r] + [0] * n for r in tb],
     )
-    graph = IsotropicSubspace(n, graph_rows)
+    _check_isotropic(graph, n)
 
-    eta, swapped = select_transversal(base, graph)
+    eta, swapped = _transversal(base, graph)
     assert not any(swapped[:r]), "slots holding M can never swap"
     # swapping a pair (e_j, f_j) keeps compatibility; the constructor checks
     newbase = CompatibleBasis(
@@ -273,20 +273,17 @@ def canonical_form(theta: SkewMatrix) -> CanonicalForm:
         tuple(base.e[j] if swapped[j] else base.f[j] for j in range(n)),
     )
 
-    # theta' is the matrix of the graph map span(f) -> span(e) in the new basis
-    stacked = newbase.rows()
-    coords = smat_mul(graph_rows, smat_inv(stacked))
-    e_part = [row[:n] for row in coords]
-    f_part = [row[n:] for row in coords]
-    row_map = smat_mul(smat_inv(f_part), e_part)
-    prime = SkewMatrix(smat_transpose(row_map))
+    # theta' is the matrix of the graph map span(f) -> span(e) in the new
+    # basis: F^-1 E for the graph's coordinates [F | E] in the basis (f; e)
+    coords = _pmul(graph, _pinv((None, 1, [list(v) for v in newbase.f + newbase.e], None)))
+    prime = SkewMatrix(smat_transpose(_unpack(*_psolve(coords))))
     for i in range(n):
         for j in range(n):
             if (i < r or j < r) and prime.rows[i][j]:
                 raise AssertionError("reduced matrix must vanish on the M block")
     tilde = prime.submatrix(range(r, n))
 
-    g = ONNElement.from_matrix(int_inverse_unimodular(mat_transpose(stacked)))
+    g = ONNElement.from_matrix(int_inverse_unimodular(mat_transpose(newbase.rows())))
     assert act(g, theta) == prime, "independent routes to theta' must agree"
     assert degeneracy_subgroup(tilde).rank == 0, "reduced block is nondegenerate"
     assert is_in_onn(g.matrix) == ONN_SO

@@ -17,12 +17,13 @@ from .exactlin import (
     IntLattice,
     Scalar,
     _pack,
+    _pmul,
+    _unpack,
     int_inverse_unimodular,
     integral_solution_lattice,
     mat_identity,
     mat_mul,
     mat_transpose,
-    smat_mul,
     snf,
     solve_rows,
 )
@@ -163,7 +164,8 @@ class Bicharacter:
         modulo Z."""
         if not x or not y:
             return Scalar(0)
-        return smat_mul(smat_mul([x], self.exponents), [[v] for v in y])[0][0]
+        gram = _pmul(_pmul(_pack([x]), _pack(self.exponents)), _pack([[v] for v in y]))
+        return _unpack(*gram)[0][0]
 
     def __repr__(self):
         return f"Bicharacter({self.group!r})"
@@ -255,7 +257,8 @@ def _present_quotient(sigma: Bicharacter, carrier_rows, relation_rows) -> Bichar
     tors_idx = [i for i in range(ell) if orders[i] >= 2]
     lifts = [lift_rows[i] for i in free_idx + tors_idx]
     group = FgGroup(len(free_idx), tuple(orders[i] for i in tors_idx))
-    induced = smat_mul(smat_mul(lifts, sigma.exponents), mat_transpose(lifts))
+    lifted = _pmul((None, 1, lifts, None), _pack(sigma.exponents))
+    induced = _unpack(*_pmul(lifted, (None, 1, mat_transpose(lifts), None)))
     return Bicharacter(group, [[Scalar(v.rat % 1, v.quad, v.d) for v in r] for r in induced])
 
 

@@ -1,3 +1,4 @@
+import argparse
 import pathlib
 from fractions import Fraction
 
@@ -247,3 +248,35 @@ class TestCommands:
             main(["invariants", f1])
             runs.append(capsys.readouterr().out)
         assert runs[0] == runs[1]
+
+
+class TestParserReuse:
+    def test_parser_built_once(self, capsys, monkeypatch, request):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        cli._parser.cache_clear()
+        request.addfinalizer(cli._parser.cache_clear)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        argv = ["canon", str(PROBLEMS / "rational_3x3.txt")]
+        assert main(argv) == EXIT_OK
+        first = capsys.readouterr()
+        after_first = len(built)
+        assert main(argv) == EXIT_OK
+        assert main(["verify-paper-examples"]) == EXIT_OK
+        # the root parser and its subparsers come from the first call only
+        assert built.count("nctori") == 1
+        assert len(built) == after_first
+        capsys.readouterr()
+
+        with pytest.raises(SystemExit) as exc:
+            main(["bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr() == first
+        assert len(built) == after_first

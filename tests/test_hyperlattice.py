@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from nctori.exactlin import IntLattice, Scalar, mat_mul, mat_transpose, smat_det
+from nctori.exactlin import IntLattice, Scalar, mat_mul, mat_transpose, saturate, smat_det
 from nctori.hyperlattice import (
     CompatibleBasis,
     IsotropicSubspace,
@@ -98,6 +98,20 @@ def random_so_element(rng, n):
     return g
 
 
+class TestCompatibleBasis:
+    def test_check_order(self):
+        # pairs are checked row by row, isotropy before <e_i, f_j> = delta_ij
+        e0, e1, f1 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)
+        with pytest.raises(ValueError) as exc:
+            CompatibleBasis(2, (e0, (0, 0, 1, 0)), ((0, 0, 2, 0), f1))
+        assert type(exc.value) is ValueError  # delta at (0, 0) before isotropy at (0, 1)
+        with pytest.raises(NotIsotropic):
+            CompatibleBasis(2, (e0, e1), ((0, 0, 1, 0), (0, 1, 0, 1)))
+        with pytest.raises(NotIsotropic):
+            CompatibleBasis(2, (e0, (1, 1, 0, 0)), ((1, 0, 2, 0), f1))
+        assert CompatibleBasis(2, (e0, e1), ((0, 0, 1, 0), f1)) == CompatibleBasis.standard(2)
+
+
 class TestCompleteIsotropicBasis:
     def test_single_beta(self):
         basis = complete_isotropic_basis(IntLattice(4, [[0, 0, 1, 0]]))
@@ -114,6 +128,38 @@ class TestCompleteIsotropicBasis:
     def test_not_saturated(self):
         with pytest.raises(NotSaturated):
             complete_isotropic_basis(IntLattice(4, [[0, 0, 2, 0]]))
+
+    def test_saturation_check_matches_saturate(self):
+        # the precondition reads one Hermite form of the transposed basis;
+        # the oracle is the double-kernel saturation
+        rng = random.Random(21)
+        counts = {True: 0, False: 0}
+        for _ in range(360):
+            n = rng.randint(1, 6)
+            rows = [
+                [rng.choice((-1, 0, 0, 0, 1, 2)) for _ in range(2 * n)]
+                for _ in range(rng.randint(1, n))
+            ]
+            p = rng.choice((2, 3))
+            kind = rng.randrange(3)
+            if kind == 1:
+                rows[0] = [p * x for x in rows[0]]
+            elif kind == 2 and len(rows) > 1:
+                # rows 0 and 1 sum to p times a vector
+                w = [rng.randint(-2, 2) for _ in range(2 * n)]
+                rows[1] = [p * y - x for x, y in zip(rows[0], w)]
+            lat = IntLattice(2 * n, rows)
+            saturated = saturate(lat) == lat
+            counts[saturated] += 1
+            try:
+                complete_isotropic_basis(lat)
+            except NotSaturated:
+                assert not saturated
+            except NotIsotropic:
+                assert saturated
+            else:
+                assert saturated
+        assert counts[False] >= 100 and counts[True] >= 100
 
     def test_random_isotropic_summands(self):
         # transform sub-bases of the standard f-half by random form-preserving
@@ -133,6 +179,25 @@ class TestCompleteIsotropicBasis:
             assert tuple(map(tuple, lat.basis)) == basis.f[:r]
 
 
+def leading_minor_signs(rows):
+    """The 2n-determinant sign choice, kept as an oracle: extend zeta one
+    entry at a time, +1 before -1, testing each leading minor afresh."""
+    zeta = []
+    for k in range(len(rows)):
+        for cand in (1, -1):
+            trial = zeta + [cand]
+            minor = [
+                [x - trial[i] if i == j else x for j, x in enumerate(rows[i][: k + 1])]
+                for i in range(k + 1)
+            ]
+            if smat_det(minor):
+                zeta = trial
+                break
+        else:
+            raise AssertionError("no sign extension kept the minor invertible")
+    return tuple(zeta)
+
+
 class TestChooseSignVector:
     def test_zero_1x1(self):
         assert choose_sign_vector([[0]]) == (1,)
@@ -142,6 +207,29 @@ class TestChooseSignVector:
 
     def test_mixed_diag(self):
         assert choose_sign_vector([[1, 0], [0, -1]]) == (-1, 1)
+
+    def test_against_leading_minors(self):
+        # entries from {0, +-1} make many leading minors vanish at +1
+        rng = random.Random(27)
+        needs_minus = 0
+        for t in range(2100):
+            n = t % 8
+            quad = t % 2 == 1
+            small = rng.random() < 0.7
+
+            def entry():
+                if small:
+                    rat, irr = rng.choice((0, 0, 1, -1)), rng.choice((0, 0, 0, 1, -1))
+                else:
+                    rat = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+                    irr = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                return Scalar(rat, irr if quad else 0, 2 if quad and irr else None)
+
+            mat = [[entry() for _ in range(n)] for _ in range(n)]
+            expected = leading_minor_signs(mat)
+            assert choose_sign_vector(mat) == expected
+            needs_minus += -1 in expected
+        assert needs_minus >= 300
 
     def test_against_enumeration(self):
         rng = random.Random(9)

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from nctori.exactlin import Scalar, mat_identity
+from nctori import exactlin, hyperlattice, invariants, reduction, twisted
+from nctori.exactlin import Scalar, mat_identity, mat_mul, mat_transpose
 from nctori.invariants import degeneracy_subgroup
 from nctori.reduction import (
     ONN_MINUS,
@@ -36,6 +37,15 @@ class TestSkewMatrix:
         with pytest.raises(ValueError):
             SkewMatrix([[1]])
 
+    def test_field_of_a_pair(self):
+        # a pair sqrt 2 / -sqrt 3 is not skew; entries of two fields in
+        # different pairs pass here and fail later, in the field arithmetic
+        rt2, rt3 = Scalar.sqrt(2), Scalar.sqrt(3)
+        with pytest.raises(ValueError, match="not skew-symmetric"):
+            SkewMatrix([[0, rt2], [-rt3, 0]])
+        mixed = SkewMatrix([[0, rt2, 0], [-rt2, 0, rt3], [0, -rt3, 0]])
+        assert mixed.entry(1, 2) == rt3
+
     def test_neg_and_submatrix(self):
         th = three_torus(5, Fraction(1, 7))
         assert th.neg().neg() == th
@@ -58,6 +68,40 @@ class TestIsInOnn:
 
     def test_garbage(self):
         assert is_in_onn([[1, 1], [0, 1]]) == ONN_NO
+
+    def test_against_block_relations(self):
+        def blocks_hold(mat):
+            n = len(mat) // 2
+            a, b = [r[:n] for r in mat[:n]], [r[n:] for r in mat[:n]]
+            c, d = [r[:n] for r in mat[n:]], [r[n:] for r in mat[n:]]
+
+            def sym(x, y):
+                return [
+                    [p + q for p, q in zip(r, s)]
+                    for r, s in zip(mat_mul(mat_transpose(x), y), mat_mul(mat_transpose(y), x))
+                ]
+
+            zero = [[0] * n for _ in range(n)]
+            cross = [
+                [p + q for p, q in zip(r, s)]
+                for r, s in zip(mat_mul(mat_transpose(a), d), mat_mul(mat_transpose(c), b))
+            ]
+            return sym(a, c) == zero and sym(b, d) == zero and cross == mat_identity(n)
+
+        rng = random.Random(17)
+        kinds = {ONN_NO: 0, ONN_SO: 0, ONN_MINUS: 0}
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            mat = random_so_element(rng, n).matrix
+            if rng.random() < 0.3:
+                i = rng.randrange(n)
+                mat[i], mat[n + i] = mat[n + i], mat[i]
+            if rng.random() < 0.4:
+                mat[rng.randrange(2 * n)][rng.randrange(2 * n)] += rng.choice((-1, 1))
+            kind = is_in_onn(mat)
+            assert (kind != ONN_NO) == blocks_hold(mat)
+            kinds[kind] += 1
+        assert min(kinds.values()) >= 20
 
     def test_odd_dimension(self):
         with pytest.raises(ValueError):
@@ -178,6 +222,29 @@ class TestCanonicalForm:
         form = canonical_form(SkewMatrix.zero(3))
         assert form.k == 0
         assert form.g == ONNElement.identity(3)
+
+    def test_stays_packed(self, monkeypatch):
+        # theta is packed once here, once by act and once per degeneracy
+        # lattice; Scalars are built only for theta' and act's result
+        theta = random_skew(random.Random(5), 8, quad_prob=0.5)
+        counts = {"pack": 0, "over": 0}
+        pack, over = exactlin._pack, exactlin.Scalar._over.__func__
+
+        def counting_pack(rows):
+            counts["pack"] += 1
+            return pack(rows)
+
+        def counting_over(cls, *args):
+            counts["over"] += 1
+            return over(cls, *args)
+
+        for mod in (exactlin, hyperlattice, invariants, reduction, twisted):
+            if hasattr(mod, "_pack"):
+                monkeypatch.setattr(mod, "_pack", counting_pack)
+        monkeypatch.setattr(exactlin.Scalar, "_over", classmethod(counting_over))
+        canonical_form(theta)
+        assert counts["pack"] <= 6
+        assert counts["over"] <= 3 * theta.n**2
 
     def test_empty_matrix(self):
         form = canonical_form(SkewMatrix([]))
