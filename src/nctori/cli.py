@@ -19,8 +19,8 @@ integer in [2, 10^18].  Commands:
 
 Exit codes: 0 success (Unknown verdicts included), 1 parse error,
 2 invariant violation, 3 verification failure.  The environment variable
-SEARCH_HEIGHT (a nonnegative integer) overrides the bounded mu-search height
-(default 20).
+SEARCH_HEIGHT (an integer in [0, 1000]) overrides the bounded mu-search
+height (default 20).
 """
 
 from __future__ import annotations
@@ -60,6 +60,8 @@ EXIT_VERIFY = 3
 # Squarefreeness is tested by trial division up to the cube root of D,
 # about 0.2 s at this bound.
 MAX_FIELD_D = 10**18
+# The mu-search costs about h^2: 1.1 s at this height on the sqrt10 pair.
+MAX_SEARCH_HEIGHT = 1000
 
 
 class ProblemSyntaxError(Exception):
@@ -151,7 +153,7 @@ def parse_problem(raw: str):
 
     if kind == "torus":
         lineno, rest = expect("dim")
-        if len(rest) != 1 or not rest[0].isdigit():
+        if len(rest) != 1 or not (rest[0].isascii() and rest[0].isdigit()):
             raise ProblemSyntaxError(lineno, "dim needs one nonnegative integer")
         n = int(rest[0])
         group = None
@@ -160,7 +162,7 @@ def parse_problem(raw: str):
         if (
             len(rest) != 4
             or rest[0] != "free"
-            or not rest[1].isdigit()
+            or not (rest[1].isascii() and rest[1].isdigit())
             or rest[2] != "torsion"
         ):
             raise ProblemSyntaxError(
@@ -234,8 +236,8 @@ def _search_height() -> int:
         height = int(raw)
     except ValueError:
         raise ProblemSyntaxError(0, f"bad SEARCH_HEIGHT value {raw!r}")
-    if height < 0:
-        raise ProblemSyntaxError(0, f"SEARCH_HEIGHT must be nonnegative, got {raw!r}")
+    if not 0 <= height <= MAX_SEARCH_HEIGHT:
+        raise ProblemSyntaxError(0, f"SEARCH_HEIGHT must lie in [0, {MAX_SEARCH_HEIGHT}], got {raw!r}")
     return height
 
 

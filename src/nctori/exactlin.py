@@ -13,7 +13,9 @@ Conventions used throughout the package:
   from it.  The packed operations _pmul, _pinv, _psolve, _pdet and _prank
   stay in that form, so chains of them unpack once; smat_mul, smat_inv,
   smat_det and smat_rank are their wrappers.  Every determinant, rank and
-  inverse comes from one fraction-free elimination, :func:`_bareiss`.
+  inverse comes from one fraction-free elimination, :func:`_bareiss`;
+* every integer congruence y @ N = 0 mod q (integral solutions, transporters
+  of trace ranges, kernels of characters) is one :func:`_mod_kernel`.
 
 Everything here is pure: no function mutates its arguments.
 """
@@ -576,17 +578,31 @@ class IntLattice:
         return f"IntLattice({self.ambient_dim}, {list(map(list, self.basis))})"
 
 
+def _mod_kernel(nmat, q: int, k: int) -> list[list[int]]:
+    """Rows spanning {y in Z^t : y @ N = 0 mod q} for an integer t x k N.
+
+    Dividing q and N by their gcd g leaves q' = q/g, and y is the projection
+    of a left-kernel vector of [N/g; q' I].  That matrix has rank k, so its
+    Hermite form has k nonzero rows, and the rows below them, read in the
+    block that tracks the rows of N/g, span the y (Cohen, GTM 138, 2.4).
+    """
+    t = len(nmat)
+    g = math.gcd(q, *(x for r in nmat for x in r))
+    q //= g
+    if q == 1:
+        return mat_identity(t)
+    aug = [[x // g for x in r] + [int(i == j) for j in range(t)] for i, r in enumerate(nmat)]
+    aug += [[q * (i == j) for j in range(k)] + [0] * t for i in range(k)]
+    return [r[k:] for r in _hermite(aug, k)[k:]]
+
+
 def integral_solution_lattice(rows, ncols: int | None = None) -> IntLattice:
     """All integer row vectors x with x @ M integral, as an IntLattice.
 
     Entries of M may lie in Q(sqrt d); :func:`_pack` writes M as
     (N + B sqrt d)/den.  The sqrt-part of x @ M must vanish identically:
     x = y @ K for K the integer left kernel of B (K = I when M is rational).
-    Then y @ K @ N lies in den Z^k; dividing by the gcd g of den and K @ N
-    leaves modulus q = den/g, and y is the projection of a left-kernel
-    vector of [K N/g; qI].  That matrix has rank k, so its Hermite form has
-    k nonzero rows, and the rows below them, read in the block that tracks
-    the rows of K N/g, span the y.
+    Then y @ K @ N = 0 mod den, a :func:`_mod_kernel`.
     """
     m = len(rows)
     if m == 0:
@@ -599,15 +615,7 @@ def integral_solution_lattice(rows, ncols: int | None = None) -> IntLattice:
         if not k1:
             return IntLattice(m)
         nmat = mat_mul(k1, nmat)
-    t = len(nmat)
-    g = math.gcd(den, *(x for r in nmat for x in r))
-    q = den // g
-    if q == 1:
-        sol = mat_identity(t)
-    else:
-        aug = [[x // g for x in r] + [int(i == j) for j in range(t)] for i, r in enumerate(nmat)]
-        aug += [[q * (i == j) for j in range(k)] + [0] * t for i in range(k)]
-        sol = [r[k:] for r in _hermite(aug, k)[k:]]
+    sol = _mod_kernel(nmat, den, k)
     return IntLattice(m, sol if k1 is None else mat_mul(sol, k1))
 
 

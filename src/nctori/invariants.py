@@ -16,8 +16,8 @@ from fractions import Fraction
 from .exactlin import (
     IntLattice,
     Scalar,
+    _mod_kernel,
     _pack,
-    integral_solution_lattice,
 )
 from .reduction import SkewMatrix, degeneracy_subgroup
 
@@ -199,7 +199,7 @@ class TraceRange:
         self.lattice = IntLattice(2, [(a // g, b // g) for a, b in coords])
         if not self.lattice.rank:
             raise ValueError("a trace range needs a nonzero generator")
-        if not self.contains(1):
+        if not self.lattice.contains((self.denom, 0)):
             raise ValueError("a trace range must contain 1")
 
     @property
@@ -272,86 +272,40 @@ def trace_range(theta: SkewMatrix) -> TraceRange:
 # equality up to a positive factor
 
 
-def _mult_matrix(b: Scalar, d: int) -> list[list[Fraction]]:
-    # row (p, q) * M(b) = coordinates of (p + q sqrt d) * b over {1, sqrt d}
-    return [[b.rat, b.quad], [b.quad * d, b.rat]]
-
-
-def _lattice_conditions(l1: TraceRange, l2: TraceRange):
-    """Rational 2x4 condition matrix N with x in the transporter
-    {x : x * L1 <= L2} iff coord(x) @ N is integral."""
-    d = l1.d
-    h2 = [[Fraction(x, l2.denom) for x in row] for row in l2.lattice.basis]
-    det = h2[0][0] * h2[1][1] - h2[0][1] * h2[1][0]
-    h2_inv = [
-        [h2[1][1] / det, -h2[0][1] / det],
-        [-h2[1][0] / det, h2[0][0] / det],
-    ]
-    cols = []
-    for b in l1.basis:
-        mb = _mult_matrix(b, d)
-        prod = [
-            [sum(mb[i][k] * h2_inv[k][j] for k in range(2)) for j in range(2)]
-            for i in range(2)
-        ]
-        cols.append(prod)
-    return [[cols[0][i][0], cols[0][i][1], cols[1][i][0], cols[1][i][1]] for i in range(2)]
-
-
-def _embedding_norm(x: Scalar) -> Fraction:
-    # sum of squares of the two real embeddings, up to the factor 2: a
-    # positive definite size measure on Q(sqrt d)
-    q = x.rat * x.rat
-    if x.quad:
-        q += x.quad * x.quad * x.d
-    return q
-
-
-def _lagrange_reduce(t1: Scalar, t2: Scalar) -> tuple[Scalar, Scalar]:
-    """Gauss-Lagrange reduction of a rank-2 scalar lattice basis under the
-    positive embedding norm, so small multipliers get small coordinates."""
-    d = t1.d if t1.d is not None else t2.d
-
-    def bil(x, y):
-        b = x.rat * y.rat
-        if x.quad and y.quad:
-            b += x.quad * y.quad * d
-        return b
-
-    while True:
-        if _embedding_norm(t1) > _embedding_norm(t2):
-            t1, t2 = t2, t1
-        denom = _embedding_norm(t1)
-        m = (2 * bil(t1, t2) + denom) // (2 * denom)
-        if m == 0:
-            return t1, t2
-        t2 = t2 - m * t1
-
-
 def _transporter_basis(l1: TraceRange, l2: TraceRange):
-    """Z-basis of {x in Q(sqrt d) : x * L1 <= L2} as scalars (reduced)."""
-    n_cond = _lattice_conditions(l1, l2)
-    det1 = n_cond[0][0] * n_cond[1][1] - n_cond[0][1] * n_cond[1][0]
-    # x @ first condition block integral bounds the denominators of x
-    inv1 = [
-        [n_cond[1][1] / det1, -n_cond[0][1] / det1],
-        [-n_cond[1][0] / det1, n_cond[0][0] / det1],
-    ]
-    dx = math.lcm(*(f.denominator for row in inv1 for f in row))
-    lat = integral_solution_lattice([[f / dx for f in row] for row in n_cond], 4)
-    assert lat.rank == 2, "the transporter of two full lattices has rank 2"
+    """Reduced Z-basis of {x : x * L1 <= L2} as (D, t1, t2), each t = (p, q)
+    standing for x = (p + q sqrt d) / D.
+
+    1 lies in L1, so every such x lies in L2 and D = l2.denom serves.  With
+    H2 = [[h00, h01], [0, h11]] the Hermite basis of L2's lattice, x times
+    (a + b sqrt d) / den1 lies in L2 exactly when
+    (p a + d q b, p b + q a) @ adj(H2) = 0 mod den1 det H2: one modular
+    kernel over the rows (a, b) of L1's lattice.  Gauss-Lagrange reduction
+    under p^2 + d q^2 then gives small multipliers small coordinates."""
     d = l1.d
-    t1, t2 = (
-        Scalar(Fraction(row[0], dx), Fraction(row[1], dx), d if row[1] else None)
-        for row in lat.basis
-    )
-    return list(_lagrange_reduce(t1, t2))
+    (h00, h01), (_, h11) = l2.lattice.basis
+    nmat = [[], []]
+    for a, b in l1.lattice.basis:
+        nmat[0] += (a * h11, b * h00 - a * h01)
+        nmat[1] += (d * b * h11, a * h00 - d * b * h01)
+    basis = IntLattice(2, _mod_kernel(nmat, l1.denom * h00 * h11, 4)).basis
+    assert len(basis) == 2, "the transporter of two full lattices has rank 2"
+    (p1, q1), (p2, q2) = basis
+    while True:
+        if p1 * p1 + d * q1 * q1 > p2 * p2 + d * q2 * q2:
+            p1, q1, p2, q2 = p2, q2, p1, q1
+        n = p1 * p1 + d * q1 * q1
+        m = (2 * (p1 * p2 + d * q1 * q2) + n) // (2 * n)
+        if m == 0:
+            return l2.denom, (p1, q1), (p2, q2)
+        p2, q2 = p2 - m * p1, q2 - m * q1
 
 
 def _multiplier_order(l: TraceRange) -> TraceRange:
     """{x : x * L <= L}, an order in Q(sqrt d) (so it contains 1); it is
     invariant under scaling L, so differing orders rule out any mu."""
-    return TraceRange(_transporter_basis(l, l))
+    D, t1, t2 = _transporter_basis(l, l)
+    return TraceRange._from_coords(l.d, D, [t1, t2])
 
 
 def _scaling_search(l1: TraceRange, l2: TraceRange, height: int) -> Scalar | None:
@@ -363,8 +317,8 @@ def _scaling_search(l1: TraceRange, l2: TraceRange, height: int) -> Scalar | Non
     a t1 + b t2 is (x + y sqrt d) / D and its norm the integer form
     (x^2 - d y^2) / D^2, so only a candidate of norm +-ratio becomes a
     Scalar and is confirmed by exact lattice equality."""
-    # a rank-2 transporter is never rational, so the sqrt-part is packed
-    d, D, ((p1, p2),), ((q1, q2),) = _pack([_transporter_basis(l1, l2)])
+    d = l1.d
+    D, (p1, q1), (p2, q2) = _transporter_basis(l1, l2)
     ratio = l2.covolume() / l1.covolume()
     den, target = ratio.denominator, ratio.numerator * D * D
     for h in range(1, height + 1):

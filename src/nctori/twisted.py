@@ -11,11 +11,11 @@ equivalence decision.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .exactlin import (
     IntLattice,
     Scalar,
+    _mod_kernel,
     _pack,
     _pmul,
     _unpack,
@@ -297,7 +297,7 @@ def _split_top_torsion(sigma: Bicharacter) -> tuple[Bicharacter, int]:
     assert d is None and all(m * x % den == 0 for x in top)
     jvals = [m * x // den % m for x in top]
     assert math.gcd(*jvals, m) == 1, "a nondegenerate pairing has a partner for t"
-    kernel = integral_solution_lattice([[Fraction(j, m)] for j in jvals], 1)
+    kernel = IntLattice(n, _mod_kernel([[j] for j in jvals], m, 1))
     relations = group.relation_rows()
     relations.append([1 if i == t else 0 for i in range(n)])
     for row in relations:
@@ -334,9 +334,7 @@ def trace_range_tga(sigma: Bicharacter) -> TraceRange:
         current, m = _split_top_torsion(current)
         multiplier *= m
     base = trace_range(_skew_from_exponents(current))
-    if multiplier == 1:
-        return base
-    return TraceRange([b / multiplier for b in base.basis])
+    return TraceRange._from_coords(base.d, base.denom * multiplier, base.lattice.basis)
 
 
 def morita_equivalent_tga(

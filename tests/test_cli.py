@@ -151,6 +151,20 @@ class TestCommands:
         bad.write_text("kind torus\nfield rational\ndim 1\nrow x\n")
         assert main(["decide", str(bad), str(bad)]) == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "kind torus\nfield rational\ndim \u00b2\n",
+            "kind tga\nfield rational\ngroup free \u00b2 torsion -\n",
+        ],
+    )
+    def test_non_ascii_count_exit(self, capsys, tmp_path, header):
+        # a superscript digit passes str.isdigit() but not int()
+        bad = tmp_path / "bad.txt"
+        bad.write_text(header, encoding="utf-8")
+        assert main(["invariants", str(bad)]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("parse error: line 3: ")
+
     def test_zero_denominator_exit(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("kind torus\nfield rational\ndim 2\nrow 0 1/0\nrow -1/0 0\n")
@@ -240,6 +254,16 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("parse error: ")
+
+    def test_search_height_bound(self, capsys, monkeypatch):
+        f = str(PROBLEMS / "three_torus_m5.txt")
+        monkeypatch.setenv("SEARCH_HEIGHT", "1001")
+        assert main(["decide", f, f]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("parse error: ")
+        # equal ranges end before the search, so the largest height is quick
+        monkeypatch.setenv("SEARCH_HEIGHT", "1000")
+        assert main(["decide", f, f]) == EXIT_OK
+        assert capsys.readouterr().out == "EQUIVALENT mu=1\n"
 
     def test_outputs_deterministic(self, capsys):
         f1 = str(PROBLEMS / "three_torus_m5.txt")

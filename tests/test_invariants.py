@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ from nctori.exactlin import (
     IncompatibleField,
     IntLattice,
     Scalar,
+    _mod_kernel,
+    int_det,
     integral_solution_lattice,
     smat_det,
 )
@@ -19,8 +22,8 @@ from nctori.invariants import (
     REASON_RATIO_FIELD,
     TraceRange,
     Verdict,
+    _multiplier_order,
     _scaling_search,
-    _transporter_basis,
     degeneracy_subgroup,
     k_group_ranks,
     morita_equivalent,
@@ -30,6 +33,7 @@ from nctori.invariants import (
     range_equal_up_to_scaling,
     trace_range,
 )
+from nctori import invariants
 from nctori.reduction import SkewMatrix, act, canonical_form
 from nctori.worked_examples import (
     four_torus_pair,
@@ -229,6 +233,84 @@ class TestScalingLadder:
             Verdict.equivalent(Scalar(-1))
 
 
+# The transporter over Scalars and 2x2 Fraction matrices: the reference for
+# the integer modular kernel of invariants._transporter_basis.
+
+
+def _mult_matrix(b, d):
+    # row (p, q) * M(b) = coordinates of (p + q sqrt d) * b over {1, sqrt d}
+    return [[b.rat, b.quad], [b.quad * d, b.rat]]
+
+
+def _lattice_conditions(l1, l2):
+    """Rational 2x4 condition matrix N with x in the transporter
+    {x : x * L1 <= L2} iff coord(x) @ N is integral."""
+    d = l1.d
+    h2 = [[Fraction(x, l2.denom) for x in row] for row in l2.lattice.basis]
+    det = h2[0][0] * h2[1][1] - h2[0][1] * h2[1][0]
+    h2_inv = [
+        [h2[1][1] / det, -h2[0][1] / det],
+        [-h2[1][0] / det, h2[0][0] / det],
+    ]
+    cols = []
+    for b in l1.basis:
+        mb = _mult_matrix(b, d)
+        prod = [
+            [sum(mb[i][k] * h2_inv[k][j] for k in range(2)) for j in range(2)]
+            for i in range(2)
+        ]
+        cols.append(prod)
+    return [[cols[0][i][0], cols[0][i][1], cols[1][i][0], cols[1][i][1]] for i in range(2)]
+
+
+def _embedding_norm(x):
+    q = x.rat * x.rat
+    if x.quad:
+        q += x.quad * x.quad * x.d
+    return q
+
+
+def _lagrange_reduce(t1, t2):
+    """Gauss-Lagrange reduction of a rank-2 scalar lattice basis under the
+    positive embedding norm."""
+    d = t1.d if t1.d is not None else t2.d
+
+    def bil(x, y):
+        b = x.rat * y.rat
+        if x.quad and y.quad:
+            b += x.quad * y.quad * d
+        return b
+
+    while True:
+        if _embedding_norm(t1) > _embedding_norm(t2):
+            t1, t2 = t2, t1
+        denom = _embedding_norm(t1)
+        m = (2 * bil(t1, t2) + denom) // (2 * denom)
+        if m == 0:
+            return t1, t2
+        t2 = t2 - m * t1
+
+
+def _transporter_basis(l1, l2):
+    """Z-basis of {x in Q(sqrt d) : x * L1 <= L2} as scalars (reduced)."""
+    n_cond = _lattice_conditions(l1, l2)
+    det1 = n_cond[0][0] * n_cond[1][1] - n_cond[0][1] * n_cond[1][0]
+    # x @ first condition block integral bounds the denominators of x
+    inv1 = [
+        [n_cond[1][1] / det1, -n_cond[0][1] / det1],
+        [-n_cond[1][0] / det1, n_cond[0][0] / det1],
+    ]
+    dx = math.lcm(*(f.denominator for row in inv1 for f in row))
+    lat = integral_solution_lattice([[f / dx for f in row] for row in n_cond], 4)
+    assert lat.rank == 2
+    d = l1.d
+    t1, t2 = (
+        Scalar(Fraction(row[0], dx), Fraction(row[1], dx), d if row[1] else None)
+        for row in lat.basis
+    )
+    return list(_lagrange_reduce(t1, t2))
+
+
 def _oracle_scaling_search(l1, l2, height):
     """The mu-search over the full square of heights, every candidate a
     Scalar with its norm taken in Fractions: the reference for the integer
@@ -313,6 +395,94 @@ class TestScalingSearch:
         monkeypatch.setattr(Scalar, "__init__", counting_init)
         assert _scaling_search(l1, l2, 20) is None
         assert built < 100
+
+
+def _random_rank2_range(rng, d):
+    rt = Scalar.sqrt(d)
+
+    def element(quad):
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 6)) + Fraction(
+            rng.choice((-3, -2, -1, 1, 2, 3)) if quad else 0, rng.randint(1, 4)
+        ) * rt
+
+    gens = [1, element(True)]
+    if rng.random() < 0.5:
+        gens.append(element(rng.random() < 0.5))
+    return TraceRange(gens)
+
+
+class TestTransporter:
+    def test_matches_fraction_oracle(self):
+        # random pairs, (l, l) pairs and GL2(Z) Moebius images over eight
+        # fields: the same reduced basis, str included, and the same
+        # multiplier order as the Scalar/Fraction route
+        rng = random.Random(4111)
+        checked = 0
+        for d in (2, 3, 5, 6, 7, 10, 13, 79):
+            for i in range(130):
+                l1 = _random_rank2_range(rng, d)
+                if i % 3 == 0:
+                    l2 = l1
+                elif i % 3 == 1:
+                    l2 = _random_rank2_range(rng, d)
+                else:
+                    omega = l1.basis[1] / l1.basis[0]
+                    l2 = TraceRange([1, _mobius(_random_gl2(rng), omega)])
+                D, *pairs = invariants._transporter_basis(l1, l2)
+                got = [Scalar(Fraction(p, D), Fraction(q, D), d) for p, q in pairs]
+                want = _transporter_basis(l1, l2)
+                assert got == want and list(map(str, got)) == list(map(str, want))
+                assert _multiplier_order(l1) == TraceRange(_transporter_basis(l1, l1))
+                checked += 1
+        assert checked >= 1000
+
+    def test_mod_kernel_matches_solution_lattice(self):
+        # y @ N = 0 mod q against the Fraction route of
+        # integral_solution_lattice, and against a count of the solutions
+        # mod q: the index of the lattice in Z^t is q^t over that count
+        rng = random.Random(4127)
+        for i in range(300):
+            t, k = rng.randint(1, 3), rng.randint(1, 3)
+            q = 1 if i % 5 == 0 else rng.randint(2, 9)
+            nmat = [[rng.randint(-20, 20) for _ in range(k)] for _ in range(t)]
+            if i % 4 == 0:
+                nmat[rng.randrange(t)] = [0] * k
+            rows = _mod_kernel(nmat, q, k)
+            lat = IntLattice(t, rows)
+            assert lat == integral_solution_lattice(
+                [[Fraction(x, q) for x in r] for r in nmat], k
+            )
+            for y in rows:
+                assert all(sum(a * r[j] for a, r in zip(y, nmat)) % q == 0 for j in range(k))
+            count = sum(
+                all(sum(a * r[j] for a, r in zip(y, nmat)) % q == 0 for j in range(k))
+                for y in itertools.product(range(q), repeat=t)
+            )
+            assert lat.rank == t and int_det(lat.basis) * count == q**t
+
+    def test_multiplier_order_builds_no_scalar(self, monkeypatch):
+        omega = 3 * (1 + Scalar.sqrt(5)) / 2
+        l = TraceRange([Fraction(1, 2), omega / 2])
+        want = TraceRange([1, omega])  # Z[omega] is an order
+        built = 0
+        init, over = Scalar.__init__, Scalar._over.__func__
+
+        def counting_init(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            init(self, *args, **kwargs)
+
+        def counting_over(cls, *args):
+            nonlocal built
+            built += 1
+            return over(cls, *args)
+
+        monkeypatch.setattr(Scalar, "__init__", counting_init)
+        monkeypatch.setattr(Scalar, "_over", classmethod(counting_over))
+        order = _multiplier_order(l)
+        assert built == 0
+        monkeypatch.undo()
+        assert order == want
 
 
 class TestDecision:
