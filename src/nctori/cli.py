@@ -10,7 +10,8 @@ Problem files are line oriented:
 
 Entries are exact: `a/b`, `c/d*rt`, or `a/b+c/d*rt` (also with `-`), where
 `rt` stands for sqrt(D) from the field header; D must be a squarefree
-integer in [2, 10^18].  Commands:
+integer in [2, 10^18].  Numbers are written in ASCII digits 0-9 only.
+Commands:
 
     canon <file>              reduction g, k and the reduced matrices
     invariants <file>         center data, K-ranks, trace-range basis
@@ -70,10 +71,20 @@ class ProblemSyntaxError(Exception):
         self.line = line
 
 
-_NUM = r"[+-]?\d+(?:/\d+)?"
+# ASCII digits only: \d, int() and Fraction() also read every Unicode
+# decimal digit, and int() reads underscores and surrounding blanks
+_INT = re.compile(r"[+-]?[0-9]+")
+_NUM = r"[+-]?[0-9]+(?:/[0-9]+)?"
 _PURE_RAT = re.compile(rf"^(?P<rat>{_NUM})$")
 _PURE_QUAD = re.compile(rf"^(?P<quad>{_NUM})\*rt$")
-_BOTH = re.compile(rf"^(?P<rat>{_NUM})(?P<sign>[+-])(?P<quad>\d+(?:/\d+)?)\*rt$")
+_BOTH = re.compile(rf"^(?P<rat>{_NUM})(?P<sign>[+-])(?P<quad>[0-9]+(?:/[0-9]+)?)\*rt$")
+
+
+def _ascii_int(text: str) -> int:
+    """int() of an optionally signed run of ASCII digits; ValueError otherwise."""
+    if not _INT.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def format_scalar(x: Scalar) -> str:
@@ -137,7 +148,7 @@ def parse_problem(raw: str):
         d = None
     elif len(rest) == 2 and rest[0] == "sqrt":
         try:
-            d = int(rest[1])
+            d = _ascii_int(rest[1])
         except ValueError:
             raise ProblemSyntaxError(lineno, f"bad field discriminant {rest[1]!r}")
         if not 2 <= d <= MAX_FIELD_D:
@@ -173,7 +184,7 @@ def parse_problem(raw: str):
             torsion = ()
         else:
             try:
-                torsion = tuple(int(x) for x in rest[3].split(","))
+                torsion = tuple(_ascii_int(x) for x in rest[3].split(","))
             except ValueError:
                 raise ProblemSyntaxError(lineno, f"bad torsion list {rest[3]!r}")
         try:
@@ -233,7 +244,7 @@ def _search_height() -> int:
     if raw is None:
         return DEFAULT_SEARCH_HEIGHT
     try:
-        height = int(raw)
+        height = _ascii_int(raw)
     except ValueError:
         raise ProblemSyntaxError(0, f"bad SEARCH_HEIGHT value {raw!r}")
     if not 0 <= height <= MAX_SEARCH_HEIGHT:

@@ -3,6 +3,12 @@
 The form is <x, y> = sum_j (x_j y_{n+j} + x_{n+j} y_j).  A basis
 e_1..e_n, f_1..f_n of Z^{2n} is *compatible* with it when both halves are
 isotropic and <e_i, f_j> = delta_ij.
+
+With J = [[0, I], [I, 0]] the form's matrix, compatibility of the rows
+B = [e; f] reads B J B^t = J, so B^-1 = J B^t J: a transpose and two block
+swaps, no elimination.  :func:`select_transversal` inverts [e + f; e - f]
+this way, and ``reduction.canonical_form`` reads g and the graph's
+coordinates in the final basis from it.
 """
 
 from __future__ import annotations
@@ -16,12 +22,10 @@ from .exactlin import (
     _hermite,
     _pack,
     _pdet,
-    _pinv,
     _pmul,
     _prank,
     _psolve,
     complete_to_basis,
-    int_det,
     left_kernel,
     mat_copy,
     mat_identity,
@@ -68,7 +72,9 @@ class CompatibleBasis:
         for v in vecs:
             if len(v) != 2 * n:
                 raise ValueError("basis vectors must have length 2n")
-        # all pairings at once: the vectors times their half-swapped transpose
+        if [list(map(int, v)) for v in vecs] != vecs:
+            raise ValueError("basis vectors must be integral")
+        # all pairings at once, B J B^t for B = [e; f]; = J forces det B = +-1
         gram = mat_mul(vecs, mat_transpose([v[n:] + v[:n] for v in vecs]))
         for i in range(n):
             for j in range(n):
@@ -76,8 +82,6 @@ class CompatibleBasis:
                     raise NotIsotropic("basis halves must be isotropic")
                 if gram[i][n + j] != (1 if i == j else 0):
                     raise ValueError("<e_i, f_j> must be delta_ij")
-        if abs(int_det(vecs)) != 1:
-            raise ValueError("vectors do not form a basis of Z^{2n}")
 
     @classmethod
     def standard(cls, n: int) -> "CompatibleBasis":
@@ -221,9 +225,11 @@ def _transversal(basis: CompatibleBasis, p) -> tuple[tuple, tuple]:
     n = basis.n
     if len(a) != n:
         raise ValueError("transversal selection needs dim V = n")
-    # coordinates [M_a | M_b] in the basis u_j = e_j + f_j, v_j = e_j - f_j
+    # coordinates [M_a | M_b] in the basis u_j = e_j + f_j, v_j = e_j - f_j;
+    # [u; v] = K [e; f], K = [[I, I], [I, -I]] = 2 K^-1, has inverse J [e; f]^t J K / 2
     uv = [[x + s * y for x, y in zip(e, f)] for s in (1, -1) for e, f in zip(basis.e, basis.f)]
-    coords = _pmul(p, _pinv((None, 1, uv, None)))
+    inv = mat_transpose([r[n:] + r[:n] for r in uv[:n]] + [[-x for x in r[n:] + r[:n]] for r in uv[n:]])
+    coords = _pmul(p, (None, 2, inv, None))
     try:
         graph_map = _psolve(coords)
     except ValueError:

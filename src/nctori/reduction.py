@@ -10,13 +10,11 @@ from .exactlin import (
     IntLattice,
     Scalar,
     _pack,
-    _pdet,
     _pinv,
     _pmul,
     _psolve,
     _unpack,
     int_det,
-    int_inverse_unimodular,
     integral_solution_lattice,
     mat_identity,
     mat_mul,
@@ -111,15 +109,19 @@ def is_in_onn(mat) -> str:
     """Classify an integer matrix: "no", "O-" (det -1) or "SO" (det +1).
 
     Membership in O(n,n|Z) is g^t J g = J, J = [[0, I], [I, 0]], that is
-    A^t C + C^t A = 0 = B^t D + D^t B and A^t D + C^t B = I.
+    A^t C + C^t A = 0 = B^t D + D^t B and A^t D + C^t B = I.  A matrix
+    with an entry that is not an integer is "no".
     """
-    mat = [list(map(int, r)) for r in mat]
+    rows = [list(r) for r in mat]
+    mat = [list(map(int, r)) for r in rows]
     n2 = len(mat)
     if n2 % 2:
         raise ValueError("matrix must have even dimension")
     for r in mat:
         if len(r) != n2:
             raise ValueError("matrix must be square")
+    if mat != rows:
+        return ONN_NO
     n = n2 // 2
     form = [r[n:] + r[:n] for r in mat_identity(n2)]
     if mat_mul(mat_transpose(mat), mat[n:] + mat[:n]) != form:
@@ -135,7 +137,10 @@ class ONNElement:
     __slots__ = ("n", "a", "b", "c", "d", "det_sign")
 
     def __init__(self, a, b, c, d):
-        a, b, c, d = (tuple(tuple(map(int, r)) for r in blk) for blk in (a, b, c, d))
+        blocks = [tuple(map(tuple, blk)) for blk in (a, b, c, d)]
+        a, b, c, d = (tuple(tuple(map(int, r)) for r in blk) for blk in blocks)
+        if [a, b, c, d] != blocks:
+            raise ValueError("O(n,n|Z) entries must be integers")
         n = len(a)
         self.n = n
         self.a, self.b, self.c, self.d = a, b, c, d
@@ -188,11 +193,13 @@ def act(g: ONNElement, theta: SkewMatrix) -> SkewMatrix:
     eye = [[den * x for x in r] for r in mat_identity(g.n)]
     lift = d, den, eye + ta, tb and [[0] * g.n for _ in eye] + tb
     cd = _pmul((None, 1, [x + y for x, y in zip(g.d, g.c)], None), lift)
-    if not any(_pdet(cd)):
-        raise ActionUndefined("C @ theta + D is singular")
+    try:
+        cd_inv = _pinv(cd)
+    except ValueError:
+        raise ActionUndefined("C @ theta + D is singular") from None
     assert g.det_sign == 1, "a defined action forces membership in SO(n,n|Z)"
     ab = _pmul((None, 1, [x + y for x, y in zip(g.b, g.a)], None), lift)
-    return SkewMatrix(_unpack(*_pmul(ab, _pinv(cd))))
+    return SkewMatrix(_unpack(*_pmul(ab, cd_inv)))
 
 
 def compose(g1: ONNElement, g2: ONNElement) -> ONNElement:
@@ -273,9 +280,10 @@ def canonical_form(theta: SkewMatrix) -> CanonicalForm:
         tuple(base.e[j] if swapped[j] else base.f[j] for j in range(n)),
     )
 
-    # theta' is the matrix of the graph map span(f) -> span(e) in the new
-    # basis: F^-1 E for the graph's coordinates [F | E] in the basis (f; e)
-    coords = _pmul(graph, _pinv((None, 1, [list(v) for v in newbase.f + newbase.e], None)))
+    # theta' is the graph map span(f) -> span(e) in the new basis B = [e; f]: F^-1 E for
+    # the graph's coordinates [F | E] in [f; e] = J B, whose inverse is J B^t as B^-1 = J B^t J
+    cols = mat_transpose(newbase.rows())
+    coords = _pmul(graph, (None, 1, cols[n:] + cols[:n], None))
     prime = SkewMatrix(smat_transpose(_unpack(*_psolve(coords))))
     for i in range(n):
         for j in range(n):
@@ -283,8 +291,8 @@ def canonical_form(theta: SkewMatrix) -> CanonicalForm:
                 raise AssertionError("reduced matrix must vanish on the M block")
     tilde = prime.submatrix(range(r, n))
 
-    g = ONNElement.from_matrix(int_inverse_unimodular(mat_transpose(newbase.rows())))
+    g = ONNElement.from_matrix([v[n:] + v[:n] for v in newbase.f + newbase.e])  # (B^t)^-1 = J B J
     assert act(g, theta) == prime, "independent routes to theta' must agree"
     assert degeneracy_subgroup(tilde).rank == 0, "reduced block is nondegenerate"
-    assert is_in_onn(g.matrix) == ONN_SO
+    assert g.det_sign == 1
     return CanonicalForm(g=g, theta_prime=prime, k=k, theta_tilde=tilde)

@@ -165,6 +165,37 @@ class TestCommands:
         assert main(["invariants", str(bad)]) == EXIT_PARSE
         assert capsys.readouterr().err.startswith("parse error: line 3: ")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            # Arabic-Indic three, and int()'s underscore separator
+            ("kind torus\nfield sqrt \u0663\ndim 2\nrow 0 1*rt\nrow -1*rt 0\n", 2),
+            ("kind torus\nfield sqrt 1_0\ndim 2\nrow 0 1*rt\nrow -1*rt 0\n", 2),
+            ("kind tga\nfield rational\ngroup free 0 torsion \u0663,\u0663\nrow 0 1/3\nrow -1/3 0\n", 3),
+            ("kind tga\nfield rational\ngroup free 0 torsion 3,3_0\nrow 0 1/3\nrow -1/3 0\n", 3),
+            ("kind torus\nfield rational\ndim 2\nrow 0 1/\u0663\nrow -1/3 0\n", 4),
+            ("kind torus\nfield sqrt 2\ndim 2\nrow 0 \u0661*rt\nrow -1*rt 0\n", 4),
+            ("kind torus\nfield sqrt 2\ndim 2\nrow 0 1+\u0661*rt\nrow -1-1*rt 0\n", 4),
+            ("kind torus\nfield rational\ndim 2\nrow 0 1_0\nrow -10 0\n", 4),
+        ],
+    )
+    def test_non_ascii_digits_exit(self, capsys, tmp_path, text, line):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text, encoding="utf-8")
+        assert main(["invariants", str(bad)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"parse error: line {line}: ")
+
+    @pytest.mark.parametrize("raw", ["\u0663", "1_0", " 3", "3 ", "+\u0663", ""])
+    def test_non_ascii_search_height_exit(self, capsys, monkeypatch, raw):
+        f = str(PROBLEMS / "three_torus_m5.txt")
+        monkeypatch.setenv("SEARCH_HEIGHT", raw)
+        assert main(["decide", f, f]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: line 0: bad SEARCH_HEIGHT value ")
+
     def test_zero_denominator_exit(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("kind torus\nfield rational\ndim 2\nrow 0 1/0\nrow -1/0 0\n")

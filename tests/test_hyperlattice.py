@@ -4,7 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from nctori.exactlin import IntLattice, Scalar, mat_mul, mat_transpose, saturate, smat_det
+from nctori import hyperlattice, reduction
+from nctori.exactlin import (
+    IntLattice,
+    Scalar,
+    _pinv,
+    _pmul,
+    _unpack,
+    int_inverse_unimodular,
+    mat_identity,
+    mat_mul,
+    mat_transpose,
+    saturate,
+    smat_det,
+)
 from nctori.hyperlattice import (
     CompatibleBasis,
     IsotropicSubspace,
@@ -56,7 +69,6 @@ class TestPairing:
 
 def random_so_element(rng, n):
     """Small SO(n,n|Z) element built from standard generators."""
-    from nctori.exactlin import int_inverse_unimodular, mat_identity
 
     def rho(r):
         rinv_t = mat_transpose(int_inverse_unimodular(r))
@@ -110,6 +122,77 @@ class TestCompatibleBasis:
         with pytest.raises(NotIsotropic):
             CompatibleBasis(2, (e0, (1, 1, 0, 0)), ((1, 0, 2, 0), f1))
         assert CompatibleBasis(2, (e0, e1), ((0, 0, 1, 0), f1)) == CompatibleBasis.standard(2)
+
+    def test_non_integral_rejected(self):
+        # <e, f> = 1 and both halves isotropic, but 1/2 is not an integer
+        with pytest.raises(ValueError, match="integral"):
+            CompatibleBasis(1, ((2, 0),), ((0, Fraction(1, 2)),))
+        with pytest.raises(ValueError, match="integral"):
+            CompatibleBasis(1, ((2, 0),), ((0, 0.5),))
+        assert CompatibleBasis(1, ((Fraction(1), 0),), ((0, 1.0),)) == CompatibleBasis.standard(1)
+
+
+class TestCompatibleInverse:
+    """canonical_form inverts each compatible basis B = [e; f] in closed form,
+    B^-1 = J B^t J for J = [[0, I], [I, 0]].  Each closed form, and what
+    canonical_form computes with it, against the elimination it replaced, on
+    the bases built over the conftest corpus."""
+
+    def test_closed_forms(self, corpus, monkeypatch):
+        seen = {"bases": [], "transversal": [], "solve": []}
+
+        def spy(store, fn):
+            def wrapped(*args):
+                out = fn(*args)
+                seen[store].append((args, out))
+                return out
+
+            return wrapped
+
+        # the completed basis, the swapped one, the graph, and the packed
+        # coordinates that _transversal and canonical_form hand to _psolve
+        for mod, name, store in (
+            (reduction, "complete_isotropic_basis", "bases"),
+            (reduction, "CompatibleBasis", "bases"),
+            (reduction, "_transversal", "transversal"),
+            (hyperlattice, "_psolve", "solve"),
+            (reduction, "_psolve", "solve"),
+        ):
+            monkeypatch.setattr(mod, name, spy(store, getattr(mod, name)))
+
+        def elim_inv(rows):
+            return _unpack(*_pinv((None, 1, rows, None)))
+
+        def swap(rows):  # J M J
+            h = len(rows) // 2
+            return [r[h:] + r[:h] for r in rows[h:] + rows[:h]]
+
+        def uv(b):  # [e + f; e - f]
+            return [[x + s * y for x, y in zip(e, f)] for s in (1, -1) for e, f in zip(b.e, b.f)]
+
+        quad = 0
+        for theta in corpus:
+            for store in seen.values():
+                store.clear()
+            form = reduction.canonical_form(theta)
+            quad += not theta.is_rational()
+            (_, base), (_, newbase) = seen["bases"]
+            (((_, graph), _),) = seen["transversal"]
+            ((uv_coords,), _), ((fe_coords,), _) = seen["solve"]
+            for b in (base, newbase):
+                n, rows = b.n, b.rows()
+                bt = mat_transpose(rows)
+                eye = mat_identity(n)
+                k = [r + r for r in eye] + [r + [-x for x in r] for r in eye]
+                assert elim_inv(uv(b)) == _unpack(None, 2, mat_mul(swap(bt), k), None)
+                assert elim_inv(rows[n:] + rows[:n]) == _unpack(None, 1, bt[n:] + bt[:n], None)
+                assert int_inverse_unimodular(bt) == swap(rows)
+            expect = _pmul(graph, _pinv((None, 1, uv(base), None)))
+            assert _unpack(*uv_coords) == _unpack(*expect)
+            fe = [list(v) for v in newbase.f + newbase.e]
+            assert _unpack(*fe_coords) == _unpack(*_pmul(graph, _pinv((None, 1, fe, None))))
+            assert form.g.matrix == int_inverse_unimodular(mat_transpose(newbase.rows()))
+        assert quad >= 40
 
 
 class TestCompleteIsotropicBasis:

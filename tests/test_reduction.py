@@ -107,6 +107,17 @@ class TestIsInOnn:
         with pytest.raises(ValueError):
             is_in_onn([[1]])
 
+    def test_non_integral(self):
+        # int() would truncate these to the identity
+        assert is_in_onn([[Fraction(3, 2), 0], [0, 1.9]]) == ONN_NO
+        assert is_in_onn([[1.5, 0], [0, 1]]) == ONN_NO
+        assert is_in_onn([[Fraction(1), 0], [0, 1.0]]) == ONN_SO
+        with pytest.raises(ValueError, match="integers"):
+            ONNElement([[Fraction(3, 2)]], [[0]], [[0]], [[Fraction(5, 4)]])
+        with pytest.raises(ValueError, match="integers"):
+            ONNElement.from_matrix([[1, 0], [0, 1.9]])
+        assert ONNElement([[Fraction(1)]], [[0.0]], [[0]], [[1]]) == ONNElement.identity(1)
+
 
 class TestAction:
     def test_identity_action(self):
