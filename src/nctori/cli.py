@@ -87,10 +87,6 @@ def _ascii_int(text: str) -> int:
     return int(text)
 
 
-def format_scalar(x: Scalar) -> str:
-    return str(Scalar.of(x))
-
-
 def parse_entry(text: str, d: int | None, line: int) -> Scalar:
     rat = quad = Fraction(0)
     try:
@@ -129,9 +125,7 @@ def parse_problem(raw: str):
     def expect(keyword):
         nonlocal pos
         if pos >= len(lines):
-            raise ProblemSyntaxError(
-                lines[-1][0] if lines else 1, f"missing {keyword!r} line"
-            )
+            raise ProblemSyntaxError(lines[-1][0], f"missing {keyword!r} line")
         lineno, words = lines[pos]
         if words[0] != keyword:
             raise ProblemSyntaxError(lineno, f"expected {keyword!r}, got {words[0]!r}")
@@ -194,7 +188,6 @@ def parse_problem(raw: str):
         n = group.ngens
 
     rows = []
-    row_lines = []
     while pos < len(lines):
         lineno, words = lines[pos]
         pos += 1
@@ -205,7 +198,6 @@ def parse_problem(raw: str):
                 lineno, f"row has {len(words) - 1} entries, expected {n}"
             )
         rows.append([parse_entry(w, d, lineno) for w in words[1:]])
-        row_lines.append(lineno)
     if len(rows) != n:
         raise ProblemSyntaxError(
             lines[-1][0], f"got {len(rows)} rows, expected {n}"
@@ -226,7 +218,7 @@ def format_torus(theta: SkewMatrix) -> str:
     out.append("field rational" if d is None else f"field sqrt {d}")
     out.append(f"dim {theta.n}")
     for r in theta.rows:
-        out.append("row " + " ".join(format_scalar(x) for x in r))
+        out.append("row " + " ".join(str(x) for x in r))
     return "\n".join(out) + "\n"
 
 
@@ -263,9 +255,9 @@ def cmd_canon(args) -> int:
     for row in form.g.matrix:
         print("g row " + " ".join(str(x) for x in row))
     for row in form.theta_prime.rows:
-        print("theta-prime row " + " ".join(format_scalar(x) for x in row))
+        print("theta-prime row " + " ".join(str(x) for x in row))
     for row in form.theta_tilde.rows:
-        print("theta-tilde row " + " ".join(format_scalar(x) for x in row))
+        print("theta-tilde row " + " ".join(str(x) for x in row))
     return EXIT_OK
 
 
@@ -291,13 +283,13 @@ def cmd_invariants(args) -> int:
     print(f"k0-rank {k0}")
     print(f"k1-rank {k1}")
     print(f"trace-range-rank {rng.rank}")
-    print("trace-range-basis " + "; ".join(format_scalar(b) for b in rng.basis))
+    print("trace-range-basis " + "; ".join(str(b) for b in rng.basis))
     return EXIT_OK
 
 
 def _print_verdict(v: Verdict) -> None:
     if v.is_equivalent:
-        print(f"EQUIVALENT mu={format_scalar(v.mu)}")
+        print(f"EQUIVALENT mu={v.mu}")
     elif v.is_unknown:
         print(f"UNKNOWN search-height={v.bound}")
     else:

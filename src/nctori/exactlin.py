@@ -199,17 +199,6 @@ class Scalar:
     def is_integer(self) -> bool:
         return self.quad == 0 and self.rat.denominator == 1
 
-    def as_fraction(self) -> Fraction:
-        if self.quad != 0:
-            raise ValueError(f"{self!r} is irrational")
-        return self.rat
-
-    def as_int(self) -> int:
-        f = self.as_fraction()
-        if f.denominator != 1:
-            raise ValueError(f"{self!r} is not an integer")
-        return f.numerator
-
     def __bool__(self):
         return bool(self.rat or self.quad)
 
@@ -262,6 +251,17 @@ def scalar_sign(x) -> int:
 # integer matrices
 
 
+def int_row(xs) -> list[int]:
+    """The entries of xs as ints; ValueError unless each is an integer, where
+    int() alone would truncate 1.5 or 7/2 toward zero."""
+    xs = list(xs)
+    ints = list(map(int, xs))
+    if ints != xs:
+        bad = next(x for x, y in zip(xs, ints) if x != y)
+        raise ValueError(f"entries must be integers, {bad!r} is not integral")
+    return ints
+
+
 def mat_identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -283,15 +283,11 @@ def mat_mul(a, b) -> list[list]:
 
 def int_det(rows) -> int:
     """Exact determinant of a square integer matrix (see :func:`_bareiss`)."""
-    return _pdet((None, 1, rows, None))[0]
+    return _pdet((None, 1, [int_row(r) for r in rows], None))[0]
 
 
 def _sub_row(mat, i, r, q):
     mat[i] = [x - q * y for x, y in zip(mat[i], mat[r])]
-
-
-def _add_row(mat, i, r, q=1):
-    mat[i] = [x + q * y for x, y in zip(mat[i], mat[r])]
 
 
 def _sub_col(mat, j, t, q):
@@ -362,7 +358,7 @@ def hnf(rows) -> tuple[list[list[int]], list[list[int]]]:
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    aug = [[int(x) for x in r] + [int(i == j) for j in range(m)] for i, r in enumerate(rows)]
+    aug = [int_row(r) + [int(i == j) for j in range(m)] for i, r in enumerate(rows)]
     _hermite(aug, n)
     return [r[:n] for r in aug], [r[n:] for r in aug]
 
@@ -374,7 +370,7 @@ def snf(rows) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     entries s1 | s2 | ..., and U, V unimodular.  Same deterministic pivot
     rule as :func:`hnf`.
     """
-    mat = [list(map(int, r)) for r in rows]
+    mat = [int_row(r) for r in rows]
     m = len(mat)
     n = len(mat[0]) if m else 0
     u = mat_identity(m)
@@ -431,8 +427,8 @@ def snf(rows) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
                     break
             if bad is None:
                 break
-            _add_row(mat, t, bad)
-            _add_row(u, t, bad)
+            _sub_row(mat, t, bad, -1)
+            _sub_row(u, t, bad, -1)
         t += 1
     return mat, u, v
 
@@ -458,9 +454,7 @@ def _factor(rows, k: int) -> tuple[list[list[int]], list[list[int]]]:
     the triangular transform stays small where the Smith transforms grow.
     """
     m = len(rows)
-    aug = _hermite(
-        [[int(x) for x in r] + [int(i == j) for j in range(m)] for i, r in enumerate(rows)], k
-    )
+    aug = _hermite([int_row(r) + [int(i == j) for j in range(m)] for i, r in enumerate(rows)], k)
     rank = next((i for i, r in enumerate(aug) if not any(r[:k])), m)
     return aug[:rank], _hermite([r[k:] for r in aug[rank:]], m)
 
@@ -498,13 +492,13 @@ def solve_rows(a_rows, bs) -> list[list[int] | None]:
     """
     m = len(a_rows)
     if m == 0:
-        return [None if any(b) else [] for b in bs]
+        return [None if any(int_row(b)) else [] for b in bs]
     k = len(a_rows[0])
     piv_rows, kernel = _factor(a_rows, k)
     pivots = [next(j for j, x in enumerate(r) if x) for r in piv_rows]
     out = []
     for b in bs:
-        v = [int(x) for x in b] + [0] * m
+        v = int_row(b) + [0] * m
         for row, p in zip(piv_rows, pivots):
             c = v[p] // row[p]
             if c:
@@ -535,10 +529,10 @@ class IntLattice:
     __slots__ = ("ambient_dim", "basis")
 
     def __init__(self, ambient_dim: int, rows=()):
-        ambient_dim = int(ambient_dim)
+        (ambient_dim,) = int_row([ambient_dim])
         cleaned = []
         for r in rows:
-            r = [int(x) for x in r]
+            r = int_row(r)
             if len(r) != ambient_dim:
                 raise ValueError(
                     f"row of length {len(r)} in ambient Z^{ambient_dim}"
@@ -552,7 +546,7 @@ class IntLattice:
         return len(self.basis)
 
     def contains(self, vec) -> bool:
-        v = [int(x) for x in vec]
+        v = int_row(vec)
         if len(v) != self.ambient_dim:
             raise ValueError("vector has the wrong length")
         for row in self.basis:
@@ -612,8 +606,6 @@ def integral_solution_lattice(rows, ncols: int | None = None) -> IntLattice:
     k1 = None
     if quad is not None:
         k1 = left_kernel(quad, ncols=k)
-        if not k1:
-            return IntLattice(m)
         nmat = mat_mul(k1, nmat)
     sol = _mod_kernel(nmat, den, k)
     return IntLattice(m, sol if k1 is None else mat_mul(sol, k1))
@@ -638,7 +630,7 @@ def complete_to_basis(rows, ambient: int) -> list[list[int]]:
     The returned ambient x ambient matrix is unimodular and starts with the
     given rows verbatim.
     """
-    rows = [list(map(int, r)) for r in rows]
+    rows = [int_row(r) for r in rows]
     r = len(rows)
     if r == 0:
         return mat_identity(ambient)
@@ -667,10 +659,6 @@ def extend_summand_basis(lat: IntLattice) -> list[list[int]]:
 # (A + B sqrt d) / den, with A and B plain integer matrices, den a nonzero
 # int, and d = B = None for a rational matrix.  The _p* operations take and
 # return that form; each smat_* function packs, runs one, and unpacks.
-
-
-def smat_transpose(rows) -> list[list[Scalar]]:
-    return [list(col) for col in zip(*rows)] if rows else []
 
 
 def _pack(rows) -> tuple:

@@ -26,6 +26,7 @@ from .exactlin import (
     _prank,
     _psolve,
     complete_to_basis,
+    int_row,
     left_kernel,
     mat_copy,
     mat_identity,
@@ -66,14 +67,12 @@ class CompatibleBasis:
 
     def __post_init__(self):
         n = self.n
-        vecs = [list(v) for v in (*self.e, *self.f)]
+        vecs = [int_row(v) for v in (*self.e, *self.f)]
         if len(self.e) != n or len(self.f) != n:
             raise ValueError("need n vectors in each half")
         for v in vecs:
             if len(v) != 2 * n:
                 raise ValueError("basis vectors must have length 2n")
-        if [list(map(int, v)) for v in vecs] != vecs:
-            raise ValueError("basis vectors must be integral")
         # all pairings at once, B J B^t for B = [e; f]; = J forces det B = +-1
         gram = mat_mul(vecs, mat_transpose([v[n:] + v[:n] for v in vecs]))
         for i in range(n):
@@ -148,11 +147,7 @@ def complete_isotropic_basis(lat: IntLattice) -> CompatibleBasis:
     _check_isotropic((None, 1, rows_m, None), r, "lattice")
 
     # W = {(0|w) : <(0|w), M> = 0}; the pairing only sees first halves of M
-    if r:
-        head = [[row[j] for row in rows_m] for j in range(n)]
-        wker = left_kernel(head, ncols=r)
-    else:
-        wker = mat_identity(n)
+    wker = left_kernel([[row[j] for row in rows_m] for j in range(n)], ncols=r)
     wrows = [[0] * n + list(w) for w in wker]
     big = saturate(IntLattice(N, rows_m + wrows))
     assert big.rank == n, "M + W must saturate to rank n"

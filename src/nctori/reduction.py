@@ -15,11 +15,11 @@ from .exactlin import (
     _psolve,
     _unpack,
     int_det,
+    int_row,
     integral_solution_lattice,
     mat_identity,
     mat_mul,
     mat_transpose,
-    smat_transpose,
 )
 from .hyperlattice import (
     CompatibleBasis,
@@ -113,14 +113,15 @@ def is_in_onn(mat) -> str:
     with an entry that is not an integer is "no".
     """
     rows = [list(r) for r in mat]
-    mat = [list(map(int, r)) for r in rows]
-    n2 = len(mat)
+    n2 = len(rows)
     if n2 % 2:
         raise ValueError("matrix must have even dimension")
-    for r in mat:
+    for r in rows:
         if len(r) != n2:
             raise ValueError("matrix must be square")
-    if mat != rows:
+    try:
+        mat = [int_row(r) for r in rows]
+    except ValueError:
         return ONN_NO
     n = n2 // 2
     form = [r[n:] + r[:n] for r in mat_identity(n2)]
@@ -137,10 +138,7 @@ class ONNElement:
     __slots__ = ("n", "a", "b", "c", "d", "det_sign")
 
     def __init__(self, a, b, c, d):
-        blocks = [tuple(map(tuple, blk)) for blk in (a, b, c, d)]
-        a, b, c, d = (tuple(tuple(map(int, r)) for r in blk) for blk in blocks)
-        if [a, b, c, d] != blocks:
-            raise ValueError("O(n,n|Z) entries must be integers")
+        a, b, c, d = (tuple(tuple(int_row(r)) for r in blk) for blk in (a, b, c, d))
         n = len(a)
         self.n = n
         self.a, self.b, self.c, self.d = a, b, c, d
@@ -233,8 +231,6 @@ class CanonicalForm:
 
 def degeneracy_subgroup(theta: SkewMatrix) -> IntLattice:
     """{x in Z^n : x @ theta in Z^n} (rank n - k in the canonical form)."""
-    if theta.n == 0:
-        return IntLattice(0)
     return integral_solution_lattice([list(r) for r in theta.rows], theta.n)
 
 
@@ -284,7 +280,7 @@ def canonical_form(theta: SkewMatrix) -> CanonicalForm:
     # the graph's coordinates [F | E] in [f; e] = J B, whose inverse is J B^t as B^-1 = J B^t J
     cols = mat_transpose(newbase.rows())
     coords = _pmul(graph, (None, 1, cols[n:] + cols[:n], None))
-    prime = SkewMatrix(smat_transpose(_unpack(*_psolve(coords))))
+    prime = SkewMatrix(mat_transpose(_unpack(*_psolve(coords))))
     for i in range(n):
         for j in range(n):
             if (i < r or j < r) and prime.rows[i][j]:

@@ -20,6 +20,7 @@ from .exactlin import (
     _pmul,
     _unpack,
     int_inverse_unimodular,
+    int_row,
     integral_solution_lattice,
     mat_identity,
     mat_mul,
@@ -53,8 +54,8 @@ class FgGroup:
     __slots__ = ("free_rank", "torsion_orders")
 
     def __init__(self, free_rank: int, torsion_orders=()):
-        free_rank = int(free_rank)
-        torsion_orders = tuple(int(m) for m in torsion_orders)
+        free_rank, *torsion_orders = int_row([free_rank, *torsion_orders])
+        torsion_orders = tuple(torsion_orders)
         if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         for m in torsion_orders:
@@ -71,9 +72,7 @@ class FgGroup:
     @classmethod
     def from_relations(cls, num_generators: int, relation_rows) -> "FgGroup":
         """Quotient of Z^num_generators by the row span of the relations."""
-        rows = [list(map(int, r)) for r in relation_rows]
-        if not rows:
-            return cls(num_generators)
+        rows = [int_row(r) for r in relation_rows]
         s, _, _ = snf(rows)
         divisors = [
             s[i][i]
@@ -184,10 +183,7 @@ def normalize_cocycle(rows) -> SkewMatrix:
 
 def _pairing_kernel_lattice(sigma: Bicharacter) -> IntLattice:
     """{x in Z^N : x @ E all integral}, the lift of the kernel of the pairing."""
-    n = sigma.group.ngens
-    if n == 0:
-        return IntLattice(0)
-    return integral_solution_lattice(sigma.exponents, n)
+    return integral_solution_lattice(sigma.exponents, sigma.group.ngens)
 
 
 def hsigma(sigma: Bicharacter) -> tuple[int, tuple[int, ...]]:
@@ -199,21 +195,14 @@ def hsigma(sigma: Bicharacter) -> tuple[int, tuple[int, ...]]:
     """
     lat = _pairing_kernel_lattice(sigma)
     rel = sigma.group.relation_rows()
-    if lat.rank == 0:
-        return (0, ())
-    if not rel:
+    if lat.rank == 0 or not rel:
         return (lat.rank, ())
-    basis = [list(b) for b in lat.basis]
-    coords = solve_rows(basis, rel)
-    if None in coords:
-        raise InvalidBicharacter("group relations escape the pairing kernel")
-    s, _, _ = snf(coords)
-    divisors = [
-        s[i][i] for i in range(min(len(coords), lat.rank))
-    ]
-    assert all(divisors), "relation rows are independent"
-    torsion = tuple(d for d in divisors if d > 1)
-    return (lat.rank - len(coords), torsion)
+    # the Bicharacter check puts each relation m e_i in the kernel
+    coords = solve_rows([list(b) for b in lat.basis], rel)
+    assert None not in coords, "relations must lie inside the kernel"
+    h = FgGroup.from_relations(lat.rank, coords)
+    assert h.free_rank == lat.rank - len(coords), "relation rows are independent"
+    return (h.free_rank, h.torsion_orders)
 
 
 def k_group_ranks_tga(sigma: Bicharacter) -> tuple[int, int]:

@@ -1,5 +1,8 @@
 import argparse
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -96,6 +99,22 @@ class TestCommands:
         assert code == EXIT_OK
         assert capsys.readouterr().out == "NOT_EQUIVALENT center-rank 2 vs 0\n"
 
+    def test_module_entry_point(self):
+        # `python -m nctori` runs __main__.py in a fresh interpreter
+        root = PROBLEMS.parent
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        env.pop("SEARCH_HEIGHT", None)
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "nctori", "decide",
+                str(PROBLEMS / "four_torus_center2.txt"),
+                str(PROBLEMS / "four_torus_center0.txt"),
+            ],
+            capture_output=True, text=True, env=env, cwd=root, timeout=60,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == "NOT_EQUIVALENT center-rank 2 vs 0\n"
+
     def test_decide_self(self, capsys):
         f = str(PROBLEMS / "three_torus_m5.txt")
         assert main(["decide", f, f]) == EXIT_OK
@@ -186,6 +205,45 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"parse error: line {line}: ")
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("", 1, "empty problem file"),
+            ("# only a comment\n\n", 1, "empty problem file"),
+            ("field rational\ndim 0\n", 1, "expected 'kind', got 'field'"),
+            ("kind foo\nfield rational\ndim 0\n", 1, "kind must be 'torus' or 'tga'"),
+            ("kind torus\nfield foo\ndim 0\n", 2, "field must be 'rational' or 'sqrt D'"),
+            ("kind torus\nfield rational\n", 2, "missing 'dim' line"),
+            ("kind tga\nfield rational\n# no group line\n", 2, "missing 'group' line"),
+            ("kind tga\nfield rational\ngroup free 0 torsion 2,3\n", 3, "divisor chain"),
+            ("kind torus\nfield rational\ndim 1\nrow 0\ncol 0\n", 5, "expected 'row', got 'col'"),
+            ("kind torus\nfield rational\ndim 2\nrow 0 1 2\nrow -1 0\n", 4, "row has 3 entries, expected 2"),
+        ],
+    )
+    def test_grammar_errors_exit(self, capsys, tmp_path, text, line, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert main(["invariants", str(bad)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"parse error: line {line}: ")
+        assert message in captured.err
+
+    def test_group_without_torsion(self, capsys, tmp_path):
+        good = tmp_path / "good.txt"
+        good.write_text("kind tga\nfield rational\ngroup free 2 torsion -\nrow 0 1/2\nrow -1/2 0\n")
+        assert main(["invariants", str(good)]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "kind tga\n"
+            "group free 2 torsion -\n"
+            "center-rank 2\n"
+            "center-torsion 1\n"
+            "k0-rank 2\n"
+            "k1-rank 2\n"
+            "trace-range-rank 1\n"
+            "trace-range-basis 1/2\n"
+        )
 
     @pytest.mark.parametrize("raw", ["\u0663", "1_0", " 3", "3 ", "+\u0663", ""])
     def test_non_ascii_search_height_exit(self, capsys, monkeypatch, raw):
