@@ -74,10 +74,11 @@ class ProblemSyntaxError(Exception):
 # ASCII digits only: \d, int() and Fraction() also read every Unicode
 # decimal digit, and int() reads underscores and surrounding blanks
 _INT = re.compile(r"[+-]?[0-9]+")
-_NUM = r"[+-]?[0-9]+(?:/[0-9]+)?"
-_PURE_RAT = re.compile(rf"^(?P<rat>{_NUM})$")
-_PURE_QUAD = re.compile(rf"^(?P<quad>{_NUM})\*rt$")
-_BOTH = re.compile(rf"^(?P<rat>{_NUM})(?P<sign>[+-])(?P<quad>[0-9]+(?:/[0-9]+)?)\*rt$")
+# a part of an entry: named numerator digits with their sign, and denominator
+_NUM = r"(?P<{0}>[+-]{1}[0-9]+)(?:/(?P<{0}_den>[0-9]+))?"
+_PURE_RAT = re.compile("^" + _NUM.format("rat", "?") + "$")
+_PURE_QUAD = re.compile("^" + _NUM.format("quad", "?") + r"\*rt$")
+_BOTH = re.compile("^" + _NUM.format("rat", "?") + _NUM.format("quad", "") + r"\*rt$")
 
 
 def _ascii_int(text: str) -> int:
@@ -88,19 +89,15 @@ def _ascii_int(text: str) -> int:
 
 
 def parse_entry(text: str, d: int | None, line: int) -> Scalar:
-    rat = quad = Fraction(0)
+    m = _PURE_RAT.match(text) or _PURE_QUAD.match(text) or _BOTH.match(text)
+    if m is None:
+        raise ProblemSyntaxError(line, f"cannot parse entry {text!r}")
+    # each part straight from the digits the pattern matched
+    part = m.groupdict()
     try:
-        if m := _PURE_RAT.match(text):
-            rat = Fraction(m.group("rat"))
-        elif m := _PURE_QUAD.match(text):
-            quad = Fraction(m.group("quad"))
-        elif m := _BOTH.match(text):
-            rat = Fraction(m.group("rat"))
-            quad = Fraction(m.group("quad"))
-            if m.group("sign") == "-":
-                quad = -quad
-        else:
-            raise ProblemSyntaxError(line, f"cannot parse entry {text!r}")
+        rat, quad = (
+            Fraction(int(part.get(k) or 0), int(part.get(k + "_den") or 1)) for k in ("rat", "quad")
+        )
     except ZeroDivisionError:
         raise ProblemSyntaxError(line, f"zero denominator in entry {text!r}")
     if quad and d is None:

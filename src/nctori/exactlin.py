@@ -611,13 +611,20 @@ def integral_solution_lattice(rows, ncols: int | None = None) -> IntLattice:
     return IntLattice(m, sol if k1 is None else mat_mul(sol, k1))
 
 
+def _is_summand(rows) -> bool:
+    """True when independent rows span a direct summand of Z^N, that is when
+    their columns span Z^r: the Hermite form of the transpose starts with I_r."""
+    r = len(rows)
+    return _hermite(mat_transpose(rows), r)[:r] == mat_identity(r)
+
+
 def saturate(lat: IntLattice) -> IntLattice:
     """Smallest direct summand of Z^N containing the lattice.
 
-    It is everything orthogonal to the vectors orthogonal to the lattice:
-    two left kernels.
+    A summand (:func:`_is_summand`) comes back as it is.  Otherwise it is
+    everything orthogonal to the vectors orthogonal to the lattice: two left kernels.
     """
-    if lat.rank == 0:
+    if _is_summand(lat.basis):
         return lat
     n = lat.ambient_dim
     perp = left_kernel(mat_transpose(lat.basis))

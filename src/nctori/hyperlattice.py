@@ -19,7 +19,7 @@ from .exactlin import (
     IntLattice,
     Scalar,
     _bareiss_step,
-    _hermite,
+    _is_summand,
     _pack,
     _pdet,
     _pmul,
@@ -139,9 +139,8 @@ def complete_isotropic_basis(lat: IntLattice) -> CompatibleBasis:
     if N % 2:
         raise ValueError("ambient dimension must be even")
     n = N // 2
-    # the rows span a direct summand exactly when the columns span Z^r
     r = lat.rank
-    if _hermite(mat_transpose(lat.basis), r)[:r] != mat_identity(r):
+    if not _is_summand(lat.basis):
         raise NotSaturated("lattice is not a direct summand of Z^{2n}")
     rows_m = [list(r) for r in lat.basis]
     _check_isotropic((None, 1, rows_m, None), r, "lattice")
@@ -179,16 +178,57 @@ def complete_isotropic_basis(lat: IntLattice) -> CompatibleBasis:
     )
 
 
+# primes q = 3 mod 4 below 2^61; the tests check each by deterministic Miller-Rabin
+_PRIMES = (2**61 - 1, 2**61 - 45, 2**61 - 229, 2**61 - 465, 2**61 - 829, 2**61 - 985)
+
+
+def _nonzero_mod_p(p, shift: int = 0, pivot: bool = True) -> bool:
+    """True when one elimination mod a table prime q certifies that N - shift I,
+    N = A + B sqrt d the numerator of the square packed p, has det != 0 (with
+    row swaps) or nonzero leading minors (pivot=False).  q is the first prime
+    where r = d^((q+1)/4) squares to d (Euler's criterion, as q = 3 mod 4), and
+    sqrt d -> r is a ring map Z[sqrt d] -> F_q: nonzero mod q means nonzero (von
+    zur Gathen-Gerhard, Modern Computer Algebra, ch. 5).  False decides nothing."""
+    d, _, a, b = p
+    q = next((q for q in _PRIMES if b is None or pow(d, (q + 1) // 2, q) == d % q), None)
+    if q is None:
+        return False
+    r = 0 if b is None else pow(d, (q + 1) // 4, q)
+    m = [[x + r * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)] if r else mat_copy(a)
+    for k in range(len(m)):
+        m[k][k] -= shift
+    for k in range(len(m)):
+        piv = next((i for i in (range(k, len(m)) if pivot else (k,)) if m[i][k] % q), None)
+        if piv is None:
+            return False
+        m[k], m[piv] = m[piv], m[k]
+        inv = pow(m[k][k], -1, q)
+        for i in range(k + 1, len(m)):
+            f = m[i][k] * inv % q
+            if f:
+                m[i][k + 1:] = [(x - f * y) % q for x, y in zip(m[i][k + 1:], m[k][k + 1:])]
+    return True
+
+
 def choose_sign_vector(rows) -> tuple[int, ...]:
     """Signs zeta in {+1,-1}^n with det(A - diag(zeta)) != 0."""
     return _sign_vector(_pack(rows))
 
 
 def _sign_vector(p) -> tuple[int, ...]:
-    """:func:`choose_sign_vector` on a packed A = N/den: one Bareiss pass over
-    N - den diag(zeta) without row swaps.  Its k-th pivot, the k-th leading
-    minor, is linear in zeta_k with slope -den times the previous pivot, so
-    zeta_k = +1 unless that pivot vanishes, and then -1 cannot vanish."""
+    """:func:`choose_sign_vector` on a packed A = N/den.  zeta = (1, ..., 1) when
+    :func:`_nonzero_mod_p` certifies every leading minor of N - den I nonzero;
+    otherwise :func:`_exact_sign_vector` decides."""
+    if _nonzero_mod_p(p, p[1], pivot=False):
+        return (1,) * len(p[2])
+    return _exact_sign_vector(p)
+
+
+def _exact_sign_vector(p) -> tuple[int, ...]:
+    """One Bareiss pass over N - den diag(zeta) without row swaps.  Its k-th
+    pivot, the k-th leading minor, is linear in zeta_k with slope -den times
+    the previous pivot, so zeta_k = +1 unless that pivot vanishes, and then
+    -1 cannot vanish."""
     d, den, a, b = p
     a, b = mat_copy(a), b and mat_copy(b)
     zeta = []
@@ -215,7 +255,9 @@ def select_transversal(basis: CompatibleBasis, subspace) -> tuple[tuple, tuple]:
 
 
 def _transversal(basis: CompatibleBasis, p) -> tuple[tuple, tuple]:
-    """:func:`select_transversal` on the packed rows of the subspace."""
+    """:func:`select_transversal` on the packed rows of the subspace.  The
+    closing check that eta meets it only in 0 is certified mod a prime
+    (:func:`_nonzero_mod_p`), with the exact determinant as the fallback."""
     d, den, a, b = p
     n = basis.n
     if len(a) != n:
@@ -234,6 +276,6 @@ def _transversal(basis: CompatibleBasis, p) -> tuple[tuple, tuple]:
     zeta = _sign_vector(graph_map)
     eta = tuple(basis.e[j] if zeta[j] == 1 else basis.f[j] for j in range(n))
     swapped = tuple(z == -1 for z in zeta)
-    stack = [[den * x for x in v] for v in eta] + a, b and [[0] * (2 * n) for _ in eta] + b
-    assert any(_pdet((d, den, *stack))), "chosen transversal still meets the subspace"
+    stack = d, den, [[den * x for x in v] for v in eta] + a, b and [[0] * (2 * n) for _ in eta] + b
+    assert _nonzero_mod_p(stack) or any(_pdet(stack)), "chosen transversal still meets the subspace"
     return eta, swapped

@@ -51,7 +51,10 @@ class SkewMatrix:
         for i in range(n):
             for j in range(i, n):
                 x, y = rows[i][j], rows[j][i]
-                if x.rat != -y.rat or x.quad != -y.quad or x.d != y.d:
+                # x = -y part by part, as Fractions are normalized; builds no -y
+                if (x.rat.numerator + y.rat.numerator or x.quad.numerator + y.quad.numerator
+                        or x.rat.denominator != y.rat.denominator
+                        or x.quad.denominator != y.quad.denominator or x.d != y.d):
                     raise ValueError("matrix is not skew-symmetric")
         self.n = n
         self.rows = rows

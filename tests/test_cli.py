@@ -1,13 +1,14 @@
 import argparse
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-from nctori import cli, invariants
+from nctori import cli, exactlin, invariants
 from nctori.cli import (
     EXIT_INVARIANT,
     EXIT_OK,
@@ -26,7 +27,40 @@ from nctori.worked_examples import three_torus
 PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
 
 
+def fraction_route(text, d):
+    """The entry parse before it built Fractions from the matched digits:
+    Fraction(str) of each part, the sign of a two-part entry applied after."""
+    num = r"[+-]?[0-9]+(?:/[0-9]+)?"
+    rat = quad = Fraction(0)
+    if m := re.match(rf"^({num})$", text):
+        rat = Fraction(m[1])
+    elif m := re.match(rf"^({num})\*rt$", text):
+        quad = Fraction(m[1])
+    elif m := re.match(rf"^({num})([+-])([0-9]+(?:/[0-9]+)?)\*rt$", text):
+        rat, quad = Fraction(m[1]), Fraction(m[3]) * (-1 if m[2] == "-" else 1)
+    else:
+        raise ValueError(text)
+    return Scalar(rat, quad, d if quad else None)
+
+
 class TestEntryParsing:
+    @pytest.mark.parametrize(
+        "text",
+        ["+3", "-0/5", "007/010", "1" * 60, "-" + "9" * 60 + "/7", "1/2+3/4*rt",
+         "-1/2-3/4*rt", "5*rt", "+0*rt", "-6/4+0/9*rt", "0-2/6*rt", "+7/1-010/4*rt"],
+    )
+    def test_matches_fraction_route(self, text):
+        got, want = parse_entry(text, 2, 1), fraction_route(text, 2)
+        assert (got.rat, got.quad, got.d) == (want.rat, want.quad, want.d)
+        assert type(got.rat) is type(got.quad) is Fraction
+
+    @pytest.mark.parametrize("text", ["1/0", "-0/0", "1/00", "1+1/0*rt", "1/0-1*rt", "3/0*rt"])
+    def test_zero_denominator(self, text):
+        with pytest.raises(ZeroDivisionError):
+            fraction_route(text, 2)
+        with pytest.raises(ProblemSyntaxError, match="zero denominator"):
+            parse_entry(text, 2, 1)
+
     def test_forms(self):
         assert parse_entry("0", 2, 1) == Scalar(0)
         assert parse_entry("-3/5", None, 1) == Scalar(Fraction(-3, 5))
@@ -36,7 +70,7 @@ class TestEntryParsing:
         assert parse_entry("1/2-3/4*rt", 2, 1) == Scalar(Fraction(1, 2), Fraction(-3, 4), 2)
 
     def test_rejects(self):
-        for bad in ("rt", "1.5", "1/", "1++2*rt", "*rt", "1 / 2"):
+        for bad in ("rt", "1.5", "1/", "1++2*rt", "*rt", "1 / 2", "\u0663", "1/\u0663", "1_0"):
             with pytest.raises(ProblemSyntaxError):
                 parse_entry(bad, 2, 1)
         with pytest.raises(ProblemSyntaxError):
@@ -257,8 +291,41 @@ class TestCommands:
     def test_zero_denominator_exit(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("kind torus\nfield rational\ndim 2\nrow 0 1/0\nrow -1/0 0\n")
-        assert main(["invariants", str(bad)]) == EXIT_PARSE
-        assert capsys.readouterr().err.startswith("parse error: line 4: ")
+        assert main(["invariants", str(bad)]) == EXIT_PARSE == 1
+        assert capsys.readouterr().err.startswith("parse error: line 4: zero denominator")
+
+    def test_canon_where_m_plus_w_is_not_a_summand(self, capsys, tmp_path, monkeypatch):
+        # stdout recorded before saturate skipped summands; the spy shows
+        # this torus takes saturate's kernel branch
+        seen = []
+        is_summand = exactlin._is_summand
+
+        def spy(rows):
+            seen.append(is_summand(rows))
+            return seen[-1]
+
+        monkeypatch.setattr(exactlin, "_is_summand", spy)
+        path = tmp_path / "t3.txt"
+        path.write_text(
+            "kind torus\nfield sqrt 2\ndim 3\nrow 0 6+1/2*rt 2*rt\n"
+            "row -6-1/2*rt 0 2+1*rt\nrow -2*rt -2-1*rt 0\n"
+        )
+        assert main(["canon", str(path)]) == EXIT_OK
+        assert seen == [False]
+        assert capsys.readouterr().out == (
+            "n 3\nk 2\n"
+            "g row -2 4 -1 24 10 -8\n"
+            "g row 1 0 3 0 0 0\n"
+            "g row 0 1 1 6 2 -2\n"
+            "g row 0 0 0 -3 -1 1\n"
+            "g row 0 0 0 -5 -2 2\n"
+            "g row 0 0 0 12 5 -4\n"
+            "theta-prime row 0 0 0\n"
+            "theta-prime row 0 0 -1/2*rt\n"
+            "theta-prime row 0 1/2*rt 0\n"
+            "theta-tilde row 0 -1/2*rt\n"
+            "theta-tilde row 1/2*rt 0\n"
+        )
 
     def test_large_squarefree_field(self, capsys, tmp_path):
         # d = (10^9 + 7) * 998244353: squarefree, too large for trial

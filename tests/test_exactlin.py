@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from nctori import exactlin
 from nctori.exactlin import (
     IncompatibleField,
     IntLattice,
@@ -256,6 +257,31 @@ class TestSaturation:
 
     def test_full_sublattice(self):
         assert saturate(IntLattice(2, [[2, 0], [0, 3]])) == IntLattice(2, mat_identity(2))
+
+    def test_skip_matches_two_kernels(self, monkeypatch):
+        # a summand comes back as it is, anything else takes the two kernels;
+        # the spy counts both branches
+        seen = []
+        is_summand = exactlin._is_summand
+
+        def spy(rows):
+            seen.append(is_summand(rows))
+            return seen[-1]
+
+        monkeypatch.setattr(exactlin, "_is_summand", spy)
+        rng = random.Random(73)
+        for case in range(400):
+            n = rng.randint(1, 6)
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, n))]
+            if rows and case % 3 == 1:
+                rows[0] = [rng.choice((2, 3, 6)) * x for x in rows[0]]
+            elif case % 3 == 2:
+                rows = unimodular(rng, n)[: len(rows)]
+            lat = IntLattice(n, rows)
+            got = saturate(lat)
+            assert got == two_kernel_saturation(lat)
+            assert (got is lat) == seen[-1] == (got == lat)
+        assert seen.count(True) >= 100 and seen.count(False) >= 100
 
 
 class TestBasisCompletion:
@@ -543,6 +569,26 @@ def snf_integral_solution_lattice(rows, ncols=None):
         sj = s[j][j] if j < min(t, k) else 0
         scaled.append([q // math.gcd(sj, q) * x for x in u[j]])
     return IntLattice(m, mat_mul(scaled, k1))
+
+
+def two_kernel_saturation(lat):
+    """saturate before summands skipped it: the vectors orthogonal to the
+    vectors orthogonal to the lattice, two left kernels."""
+    if lat.rank == 0:
+        return lat
+    n = lat.ambient_dim
+    perp = left_kernel([list(c) for c in zip(*lat.basis)])
+    return IntLattice(n, left_kernel([[r[j] for r in perp] for j in range(n)], ncols=len(perp)))
+
+
+def unimodular(rng, n):
+    """A random product of elementary integer row operations."""
+    mat = mat_identity(n)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            mat[i] = [x + rng.choice((-2, -1, 1, 2)) * y for x, y in zip(mat[i], mat[j])]
+    return mat
 
 
 def snf_saturate(lat):

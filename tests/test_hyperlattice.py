@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from nctori import hyperlattice, reduction
+from conftest import random_skew
+from nctori import exactlin, hyperlattice, reduction
 from nctori.exactlin import (
     IntLattice,
     Scalar,
+    _pack,
     _pinv,
     _pmul,
     _unpack,
@@ -29,6 +31,7 @@ from nctori.hyperlattice import (
     select_transversal,
 )
 from nctori.reduction import ONNElement, compose
+from test_exactlin import two_kernel_saturation
 
 
 def rand_scalar(rng):
@@ -281,6 +284,26 @@ def leading_minor_signs(rows):
     return tuple(zeta)
 
 
+def seeded_sign_inputs():
+    """2,100 seeded square matrices, n = 0..7, every other one over Q(sqrt 2);
+    entries from {0, +-1} make many leading minors vanish at zeta_k = +1."""
+    rng = random.Random(27)
+    for t in range(2100):
+        n = t % 8
+        quad = t % 2 == 1
+        small = rng.random() < 0.7
+
+        def entry():
+            if small:
+                rat, irr = rng.choice((0, 0, 1, -1)), rng.choice((0, 0, 0, 1, -1))
+            else:
+                rat = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+                irr = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            return Scalar(rat, irr if quad else 0, 2 if quad and irr else None)
+
+        yield [[entry() for _ in range(n)] for _ in range(n)]
+
+
 class TestChooseSignVector:
     def test_zero_1x1(self):
         assert choose_sign_vector([[0]]) == (1,)
@@ -292,23 +315,8 @@ class TestChooseSignVector:
         assert choose_sign_vector([[1, 0], [0, -1]]) == (-1, 1)
 
     def test_against_leading_minors(self):
-        # entries from {0, +-1} make many leading minors vanish at +1
-        rng = random.Random(27)
         needs_minus = 0
-        for t in range(2100):
-            n = t % 8
-            quad = t % 2 == 1
-            small = rng.random() < 0.7
-
-            def entry():
-                if small:
-                    rat, irr = rng.choice((0, 0, 1, -1)), rng.choice((0, 0, 0, 1, -1))
-                else:
-                    rat = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-                    irr = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                return Scalar(rat, irr if quad else 0, 2 if quad and irr else None)
-
-            mat = [[entry() for _ in range(n)] for _ in range(n)]
+        for mat in seeded_sign_inputs():
             expected = leading_minor_signs(mat)
             assert choose_sign_vector(mat) == expected
             needs_minus += -1 in expected
@@ -340,6 +348,124 @@ class TestChooseSignVector:
                     )
                 ]
                 assert valid and zeta in valid
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin: the first 12 prime bases decide every n < 2^64."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def spy_certificates(monkeypatch):
+    """Count the mod-p certificates and the exact passes behind them: the
+    sign-vector Bareiss pass and the transversal's determinant."""
+    calls = {"mod_p": 0, "sign": 0, "det": 0}
+    for name, key in (("_nonzero_mod_p", "mod_p"), ("_exact_sign_vector", "sign"), ("_pdet", "det")):
+        def counted(*args, orig=getattr(hyperlattice, name), key=key, **kwargs):
+            calls[key] += 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(hyperlattice, name, counted)
+    return calls
+
+
+class TestModPCertificates:
+    def test_table_primes(self):
+        primes = hyperlattice._PRIMES
+        assert len(set(primes)) == len(primes) >= 4
+        for q in primes:
+            assert q < 2**61 and q % 4 == 3 and is_prime(q)
+        # strong pseudoprimes to the bases up to 7 and up to 23, and a Carmichael number
+        assert not any(map(is_prime, (3215031751, 3825123056546413051, 561)))
+
+    def test_certified_matches_exact(self):
+        # the certificate holds exactly when zeta is all +1: these minors are
+        # far below the table primes, so none vanishes mod q by accident
+        certified = 0
+        for mat in seeded_sign_inputs():
+            p = _pack(mat)
+            exact = hyperlattice._exact_sign_vector(p)
+            assert hyperlattice._sign_vector(p) == exact
+            cert = hyperlattice._nonzero_mod_p(p, p[1], pivot=False)
+            assert cert == (exact == (1,) * len(mat))
+            certified += cert
+        assert 1000 <= certified <= 1800
+
+    def test_fallback_on_minus_ones(self, monkeypatch):
+        calls = spy_certificates(monkeypatch)
+        assert choose_sign_vector([[1, 0], [0, 1]]) == (-1, -1)
+        assert calls == {"mod_p": 1, "sign": 1, "det": 0}
+
+    def test_fallback_on_minor_divisible_by_prime(self, monkeypatch):
+        calls = spy_certificates(monkeypatch)
+        # N - I has leading minors 1 and q: nonzero, but zero mod q
+        q = hyperlattice._PRIMES[0]
+        assert choose_sign_vector([[2, 0], [0, q + 1]]) == (1, 1)
+        # over Q(sqrt 2), (q - r) + sqrt 2 maps to 0 under sqrt 2 -> r
+        q = next(q for q in hyperlattice._PRIMES if pow(2, (q - 1) // 2, q) == 1)
+        r = pow(2, (q + 1) // 4, q)
+        assert r * r % q == 2
+        assert choose_sign_vector([[Scalar(q - r + 1, 1, 2)]]) == (1,)
+        assert calls["sign"] == 2
+        # the determinant certificate pivots; a determinant of q decides nothing
+        flip = (None, 1, [[0, 1], [q + 1, 0]], None)
+        assert hyperlattice._nonzero_mod_p(flip)
+        assert not hyperlattice._nonzero_mod_p(flip, pivot=False)
+        assert not hyperlattice._nonzero_mod_p((None, 1, [[q]], None))
+        assert not hyperlattice._nonzero_mod_p((None, 1, [[1, 2], [2, 4]], None))
+
+    def test_fallback_when_no_prime_fits(self, monkeypatch):
+        primes = hyperlattice._PRIMES
+        d = next(
+            d for d in range(3, 1000)
+            if exactlin._is_squarefree(d) and all(pow(d, (q - 1) // 2, q) == q - 1 for q in primes)
+        )
+        calls = spy_certificates(monkeypatch)
+        assert choose_sign_vector([[Scalar(0, 1, d)]]) == (1,)
+        assert calls["sign"] == 1
+        theta = reduction.SkewMatrix.from_upper(2, {(0, 1): Scalar(1, 1, d)})
+        form = reduction.canonical_form(theta)
+        assert calls["det"] >= 1
+        assert reduction.act(form.g, theta) == form.theta_prime
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_large_mixed_canon_runs_no_exact_pass(self, monkeypatch, n):
+        calls = spy_certificates(monkeypatch)
+        reduction.canonical_form(random_skew(random.Random(5), n, quad_prob=0.5))
+        assert calls["mod_p"] >= 2 and calls["sign"] == calls["det"] == 0
+
+
+class TestSaturationSkip:
+    def test_corpus_sums(self, corpus, monkeypatch):
+        # every M + W of the completion against the two-kernel route; on a
+        # few Q(sqrt 2) tori M + W is not a summand
+        skipped = []
+
+        def checked(lat):
+            got = saturate(lat)
+            assert got == two_kernel_saturation(lat)
+            skipped.append(got is lat)
+            return got
+
+        monkeypatch.setattr(hyperlattice, "saturate", checked)
+        for theta in corpus:
+            reduction.canonical_form(theta)
+        assert skipped.count(False) >= 5 and skipped.count(True) >= 150
 
 
 class TestSelectTransversal:

@@ -46,6 +46,26 @@ class TestSkewMatrix:
         mixed = SkewMatrix([[0, rt2, 0], [-rt2, 0, rt3], [0, -rt3, 0]])
         assert mixed.entry(1, 2) == rt3
 
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            # each pair fails x = -y in one place only
+            (Scalar(Fraction(1, 2), 3, 2), Scalar(Fraction(1, 2), -3, 2)),
+            (Scalar(Fraction(1, 2), 3, 2), Scalar(Fraction(-1, 3), -3, 2)),
+            (Scalar(Fraction(1, 2), 3, 2), Scalar(Fraction(-1, 2), 3, 2)),
+            (Scalar(1, Fraction(3, 4), 2), Scalar(-1, Fraction(-3, 5), 2)),
+            (Scalar(Fraction(1, 2), 3, 2), Scalar(Fraction(-1, 2), -3, 3)),
+        ],
+        ids=["rational sign", "rational denominator", "sqrt sign", "sqrt denominator", "field"],
+    )
+    def test_rejects_one_part_off(self, x, y):
+        other = Scalar(Fraction(2, 3), Fraction(-1, 5), 2)
+        rows = [[0, other, x], [-other, 0, 1], [y, -1, 0]]
+        with pytest.raises(ValueError, match="not skew-symmetric"):
+            SkewMatrix(rows)
+        rows[2][0] = -x
+        assert SkewMatrix(rows).entry(2, 0) == -x
+
     def test_neg_and_submatrix(self):
         th = three_torus(5, Fraction(1, 7))
         assert th.neg().neg() == th
