@@ -113,14 +113,18 @@ class IsotropicSubspace:
 
 def _check_isotropic(p, dim: int, what: str = "subspace") -> None:
     """The checks of :class:`IsotropicSubspace` on packed rows: all pairings
-    at once, the rows times their half-swapped transpose, then the rank."""
+    at once, the rows times their half-swapped transpose, then the rank: full
+    row rank mod q (:func:`_mod_q`), else the exact ``_prank``."""
     d, den, a, b = p
     h = len(a[0]) // 2 if a else 0
     swapped = [m and mat_transpose([r[h:] + r[:h] for r in m]) for m in (a, b)]
     gram = _pmul(p, (d, den, *swapped))
     if gram[3] is not None or any(map(any, gram[2])):
         raise NotIsotropic(f"{what} is not isotropic")
-    if _prank(p) != dim:
+    rank = _mod_q(p)[0]
+    if rank < len(a):
+        rank = _prank(p)
+    if rank != dim:
         raise ValueError("basis vectors are linearly dependent")
 
 
@@ -182,32 +186,50 @@ def complete_isotropic_basis(lat: IntLattice) -> CompatibleBasis:
 _PRIMES = (2**61 - 1, 2**61 - 45, 2**61 - 229, 2**61 - 465, 2**61 - 829, 2**61 - 985)
 
 
-def _nonzero_mod_p(p, shift: int = 0, pivot: bool = True) -> bool:
-    """True when one elimination mod a table prime q certifies that N - shift I,
-    N = A + B sqrt d the numerator of the square packed p, has det != 0 (with
-    row swaps) or nonzero leading minors (pivot=False).  q is the first prime
-    where r = d^((q+1)/4) squares to d (Euler's criterion, as q = 3 mod 4), and
-    sqrt d -> r is a ring map Z[sqrt d] -> F_q: nonzero mod q means nonzero (von
-    zur Gathen-Gerhard, Modern Computer Algebra, ch. 5).  False decides nothing."""
+def _mod_q(p, ncols: int | None = None, shift: int = 0, pivot: bool = True, jordan: bool = False):
+    """One elimination of N - shift I mod q, N = A + B sqrt d the numerator of
+    the packed p and q the first table prime where r = d^((q+1)/4) squares to
+    d (q = 3 mod 4).  sqrt d -> r is a ring map Z[sqrt d] -> F_q, so what is
+    nonzero mod q is nonzero exactly (von zur Gathen-Gerhard, Modern Computer
+    Algebra, ch. 5).  Returns (rank, det, rows): the pivots found in the first
+    ncols columns (without pivot, up to the first zero on the diagonal), their
+    signed product as a residue in (-q/2, q/2), and N mod q eliminated; with
+    jordan [F | E] ends as [I | F^-1 E].  (0, 0, None) when no prime fits."""
     d, _, a, b = p
-    q = next((q for q in _PRIMES if b is None or pow(d, (q + 1) // 2, q) == d % q), None)
+    q = next((q for q in _PRIMES if d is None or pow(d, (q + 1) // 2, q) == d % q), None)
     if q is None:
-        return False
+        return 0, 0, None
     r = 0 if b is None else pow(d, (q + 1) // 4, q)
-    m = [[x + r * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)] if r else mat_copy(a)
-    for k in range(len(m)):
-        m[k][k] -= shift
-    for k in range(len(m)):
-        piv = next((i for i in (range(k, len(m)) if pivot else (k,)) if m[i][k] % q), None)
+    if r:
+        m = [[(x + r * y) % q for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    else:
+        m = [[x % q for x in row] for row in a]
+    for k in range(len(m) if shift else 0):
+        m[k][k] = (m[k][k] - shift) % q
+    rank, det = 0, 1
+    for col in range((len(a[0]) if a else 0) if ncols is None else ncols):
+        if rank == len(m):
+            break
+        piv = next((i for i in (range(rank, len(m)) if pivot else (rank,)) if m[i][col]), None)
         if piv is None:
-            return False
-        m[k], m[piv] = m[piv], m[k]
-        inv = pow(m[k][k], -1, q)
-        for i in range(k + 1, len(m)):
-            f = m[i][k] * inv % q
-            if f:
-                m[i][k + 1:] = [(x - f * y) % q for x, y in zip(m[i][k + 1:], m[k][k + 1:])]
-    return True
+            if pivot:
+                continue
+            break
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            det = -det
+        det = det * m[rank][col] % q
+        inv = pow(m[rank][col], -1, q)
+        if jordan:
+            m[rank][col:] = [x * inv % q for x in m[rank][col:]]
+            inv = 1
+        y = m[rank][col:]
+        for i in range(len(m)) if jordan else range(rank + 1, len(m)):
+            f = m[i][col] * inv % q
+            if f and i != rank:
+                m[i][col:] = [(x - f * z) % q for x, z in zip(m[i][col:], y)]
+        rank += 1
+    return rank, det - q if det > q // 2 else det, m
 
 
 def choose_sign_vector(rows) -> tuple[int, ...]:
@@ -217,9 +239,9 @@ def choose_sign_vector(rows) -> tuple[int, ...]:
 
 def _sign_vector(p) -> tuple[int, ...]:
     """:func:`choose_sign_vector` on a packed A = N/den.  zeta = (1, ..., 1) when
-    :func:`_nonzero_mod_p` certifies every leading minor of N - den I nonzero;
+    :func:`_mod_q` certifies every leading minor of N - den I nonzero;
     otherwise :func:`_exact_sign_vector` decides."""
-    if _nonzero_mod_p(p, p[1], pivot=False):
+    if _mod_q(p, shift=p[1], pivot=False)[0] == len(p[2]):
         return (1,) * len(p[2])
     return _exact_sign_vector(p)
 
@@ -255,9 +277,11 @@ def select_transversal(basis: CompatibleBasis, subspace) -> tuple[tuple, tuple]:
 
 
 def _transversal(basis: CompatibleBasis, p) -> tuple[tuple, tuple]:
-    """:func:`select_transversal` on the packed rows of the subspace.  The
-    closing check that eta meets it only in 0 is certified mod a prime
-    (:func:`_nonzero_mod_p`), with the exact determinant as the fallback."""
+    """:func:`select_transversal` on the packed rows of the subspace.  Mod q
+    (:func:`_mod_q`): zeta = (1, ..., 1) when F is invertible and every leading
+    minor of the graph map F^-1 E minus I is nonzero, else the exact
+    :func:`_psolve` and :func:`_sign_vector` decide; the closing determinant,
+    else :func:`_pdet`."""
     d, den, a, b = p
     n = basis.n
     if len(a) != n:
@@ -267,15 +291,23 @@ def _transversal(basis: CompatibleBasis, p) -> tuple[tuple, tuple]:
     uv = [[x + s * y for x, y in zip(e, f)] for s in (1, -1) for e, f in zip(basis.e, basis.f)]
     inv = mat_transpose([r[n:] + r[:n] for r in uv[:n]] + [[-x for x in r[n:] + r[:n]] for r in uv[n:]])
     coords = _pmul(p, (None, 2, inv, None))
-    try:
-        graph_map = _psolve(coords)
-    except ValueError:
-        raise NotIsotropic(
-            "subspace meets the span of the e_j - f_j, so it is not a graph"
-        ) from None
-    zeta = _sign_vector(graph_map)
+    rank, _, fe = _mod_q(coords, n, jordan=True)
+    if rank == n and _mod_q(
+        (coords[0], 1, [r[n:] for r in fe], None), shift=1, pivot=False
+    )[0] == n:
+        zeta = (1,) * n
+    else:
+        try:
+            graph_map = _psolve(coords)
+        except ValueError:
+            raise NotIsotropic(
+                "subspace meets the span of the e_j - f_j, so it is not a graph"
+            ) from None
+        zeta = _sign_vector(graph_map)
     eta = tuple(basis.e[j] if zeta[j] == 1 else basis.f[j] for j in range(n))
     swapped = tuple(z == -1 for z in zeta)
     stack = d, den, [[den * x for x in v] for v in eta] + a, b and [[0] * (2 * n) for _ in eta] + b
-    assert _nonzero_mod_p(stack) or any(_pdet(stack)), "chosen transversal still meets the subspace"
+    assert _mod_q(stack)[0] == 2 * n or any(_pdet(stack)), (
+        "chosen transversal still meets the subspace"
+    )
     return eta, swapped

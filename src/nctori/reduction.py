@@ -24,6 +24,7 @@ from .exactlin import (
 from .hyperlattice import (
     CompatibleBasis,
     _check_isotropic,
+    _mod_q,
     _transversal,
     complete_isotropic_basis,
 )
@@ -157,6 +158,17 @@ class ONNElement:
         return cls(*_blocks([list(r) for r in mat]))
 
     @classmethod
+    def _of_basis(cls, basis: CompatibleBasis) -> "ONNElement":
+        """g = (B^t)^-1 = J B J for a compatible basis B = [e; f], without
+        :func:`is_in_onn`: the basis check B J B^t = J gives B^t J B = J, so
+        g^t J g = J, and det g = det B = +-1 is read exactly mod q."""
+        g, n = cls.__new__(cls), basis.n
+        mat = [v[n:] + v[:n] for v in basis.f + basis.e]
+        g.n, (g.a, g.b, g.c, g.d) = n, (tuple(map(tuple, blk)) for blk in _blocks(mat))
+        _, g.det_sign, _ = _mod_q((None, 1, mat, None))
+        return g
+
+    @classmethod
     def identity(cls, n: int) -> "ONNElement":
         eye = mat_identity(n)
         zero = [[0] * n for _ in range(n)]
@@ -189,18 +201,23 @@ def act(g: ONNElement, theta: SkewMatrix) -> SkewMatrix:
     """
     if g.n != theta.n:
         raise ValueError("dimension mismatch")
-    # C theta + D and A theta + B, each as one packed product with [I; theta]
-    d, den, ta, tb = _pack(theta.rows)
-    eye = [[den * x for x in r] for r in mat_identity(g.n)]
-    lift = d, den, eye + ta, tb and [[0] * g.n for _ in eye] + tb
-    cd = _pmul((None, 1, [x + y for x, y in zip(g.d, g.c)], None), lift)
+    cd, ab = _action_parts(g, _pack(theta.rows))
     try:
         cd_inv = _pinv(cd)
     except ValueError:
         raise ActionUndefined("C @ theta + D is singular") from None
     assert g.det_sign == 1, "a defined action forces membership in SO(n,n|Z)"
-    ab = _pmul((None, 1, [x + y for x, y in zip(g.b, g.a)], None), lift)
     return SkewMatrix(_unpack(*_pmul(ab, cd_inv)))
+
+
+def _action_parts(g: ONNElement, th) -> tuple:
+    """C theta + D and A theta + B for a packed theta, each as one packed
+    product with [I; theta]."""
+    d, den, ta, tb = th
+    eye = [[den * x for x in r] for r in mat_identity(g.n)]
+    lift = d, den, eye + ta, tb and [[0] * g.n for _ in eye] + tb
+    cd = _pmul((None, 1, [x + y for x, y in zip(g.d, g.c)], None), lift)
+    return cd, _pmul((None, 1, [x + y for x, y in zip(g.b, g.a)], None), lift)
 
 
 def compose(g1: ONNElement, g2: ONNElement) -> ONNElement:
@@ -237,6 +254,28 @@ def degeneracy_subgroup(theta: SkewMatrix) -> IntLattice:
     return integral_solution_lattice([list(r) for r in theta.rows], theta.n)
 
 
+def _acts_as(g: ONNElement, th, prime) -> bool:
+    """act(g, theta) == theta' for packed theta and theta', with no inverse:
+    A theta + B = theta' (C theta + D).  The identity makes C theta + D
+    invertible, as [A theta + B; C theta + D] = g [theta; I] has full column
+    rank: (C theta + D) x = 0 gives (A theta + B) x = 0, so x = 0."""
+    cd, ab = _action_parts(g, th)
+    (d1, den1, *m1), (d2, den2, *m2) = ab, _pmul(prime, cd)
+    # both sides are reduced, so a sqrt d part is None exactly when it is 0
+    return d1 == d2 and [m and [[x * den2 for x in r] for r in m] for m in m1] == [
+        m and [[x * den1 for x in r] for r in m] for m in m2
+    ]
+
+
+def _nondegenerate(p) -> bool:
+    """{x in Z^k : x theta integral} = 0 for a packed k x k theta = (A + B sqrt d)/den.
+    x theta integral needs x B = 0, so B of full rank mod q (:func:`_mod_q`)
+    certifies it; otherwise :func:`degeneracy_subgroup` decides."""
+    if p[3] is not None and _mod_q((None, 1, p[3], None))[0] == len(p[3]):
+        return True
+    return degeneracy_subgroup(SkewMatrix(_unpack(*p))).rank == 0
+
+
 def canonical_form(theta: SkewMatrix) -> CanonicalForm:
     """Reduce theta to diag(0, nondegenerate) by an explicit SO(n,n|Z) element.
 
@@ -246,6 +285,11 @@ def canonical_form(theta: SkewMatrix) -> CanonicalForm:
     choice forces span(e) to miss V; the graph map span(f) -> span(e) read in
     that basis is the reduced matrix, and g is the basis change back to the
     standard frame.
+
+    The self-checks run an exact elimination only where a certificate mod a
+    prime (``hyperlattice._mod_q``) fails: the isotropy ranks, the transversal
+    and theta~'s nondegeneracy.  det g = +-1 is read exactly mod q, and
+    act(g, theta) = theta' is checked as an identity with no inverse.
     """
     n = theta.n
     degen = degeneracy_subgroup(theta)
@@ -283,15 +327,18 @@ def canonical_form(theta: SkewMatrix) -> CanonicalForm:
     # the graph's coordinates [F | E] in [f; e] = J B, whose inverse is J B^t as B^-1 = J B^t J
     cols = mat_transpose(newbase.rows())
     coords = _pmul(graph, (None, 1, cols[n:] + cols[:n], None))
-    prime = SkewMatrix(mat_transpose(_unpack(*_psolve(coords))))
+    pd, pden, pa, pb = _psolve(coords)
+    pa, pb = mat_transpose(pa), pb and mat_transpose(pb)
+    prime = SkewMatrix(_unpack(pd, pden, pa, pb))
     for i in range(n):
         for j in range(n):
             if (i < r or j < r) and prime.rows[i][j]:
                 raise AssertionError("reduced matrix must vanish on the M block")
     tilde = prime.submatrix(range(r, n))
 
-    g = ONNElement.from_matrix([v[n:] + v[:n] for v in newbase.f + newbase.e])  # (B^t)^-1 = J B J
-    assert act(g, theta) == prime, "independent routes to theta' must agree"
-    assert degeneracy_subgroup(tilde).rank == 0, "reduced block is nondegenerate"
+    g = ONNElement._of_basis(newbase)
+    assert _acts_as(g, th, (pd, pden, pa, pb)), "independent routes to theta' must agree"
+    block = pd, pden, [row[r:] for row in pa[r:]], pb and [row[r:] for row in pb[r:]]
+    assert _nondegenerate(block), "reduced block is nondegenerate"
     assert g.det_sign == 1
     return CanonicalForm(g=g, theta_prime=prime, k=k, theta_tilde=tilde)

@@ -193,7 +193,11 @@ def hsigma(sigma: Bicharacter) -> tuple[int, tuple[int, ...]]:
     rank is the center's torus dimension and its torsion size the number of
     connected components of the center's spectrum.
     """
-    lat = _pairing_kernel_lattice(sigma)
+    return _hsigma(sigma, _pairing_kernel_lattice(sigma))
+
+
+def _hsigma(sigma: Bicharacter, lat: IntLattice) -> tuple[int, tuple[int, ...]]:
+    """:func:`hsigma` from the pairing-kernel lattice."""
     rel = sigma.group.relation_rows()
     if lat.rank == 0 or not rel:
         return (lat.rank, ())
@@ -253,7 +257,11 @@ def _present_quotient(sigma: Bicharacter, carrier_rows, relation_rows) -> Bichar
 
 def simple_quotient(sigma: Bicharacter) -> Bicharacter:
     """The bicharacter induced on G / ker(pairing); always nondegenerate."""
-    lat = _pairing_kernel_lattice(sigma)
+    return _simple_quotient(sigma, _pairing_kernel_lattice(sigma))
+
+
+def _simple_quotient(sigma: Bicharacter, lat: IntLattice) -> Bicharacter:
+    """:func:`simple_quotient` from the pairing-kernel lattice."""
     n = sigma.group.ngens
     out = _present_quotient(
         sigma, mat_identity(n), [list(b) for b in lat.basis]
@@ -317,7 +325,11 @@ def trace_range_tga(sigma: Bicharacter) -> TraceRange:
     at a time, each contributing a matrix-algebra factor that scales the
     range by 1/m; read the torsion-free remainder as a torus.
     """
-    current = simple_quotient(sigma)
+    return _split_range(simple_quotient(sigma))
+
+
+def _split_range(current: Bicharacter) -> TraceRange:
+    """:func:`trace_range_tga` from the simple quotient."""
     multiplier = 1
     while current.group.torsion_orders:
         current, m = _split_top_torsion(current)
@@ -335,8 +347,9 @@ def morita_equivalent_tga(
     compatible group ranks, and trace ranges agreeing up to a positive
     factor; Unknown propagates from the bounded search.
     """
-    r1, tor1 = hsigma(sigma1)
-    r2, tor2 = hsigma(sigma2)
+    lat1, lat2 = _pairing_kernel_lattice(sigma1), _pairing_kernel_lattice(sigma2)
+    r1, tor1 = _hsigma(sigma1, lat1)
+    r2, tor2 = _hsigma(sigma2, lat2)
     size1, size2 = math.prod(tor1), math.prod(tor2)
     if r1 != r2:
         return Verdict.not_equivalent(REASON_CENTER, f"center-rank {r1} vs {r2}")
@@ -348,5 +361,7 @@ def morita_equivalent_tga(
     if not (g1 == g2 or g1 + g2 == 1):
         return Verdict.not_equivalent(REASON_DIMENSION, f"group-rank {g1} vs {g2}")
     return range_equal_up_to_scaling(
-        trace_range_tga(sigma1), trace_range_tga(sigma2), height
+        _split_range(_simple_quotient(sigma1, lat1)),
+        _split_range(_simple_quotient(sigma2, lat2)),
+        height,
     )

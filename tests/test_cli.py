@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from nctori import cli, exactlin, invariants
+from nctori import cli, exactlin, invariants, twisted
 from nctori.cli import (
     EXIT_INVARIANT,
     EXIT_OK,
@@ -164,6 +164,20 @@ class TestCommands:
         assert main(["decide", f, f]) == EXIT_OK
         assert capsys.readouterr().out == "EQUIVALENT mu=1\n"
         assert calls == []
+
+    def test_decide_tga_builds_each_kernel_lattice_once(self, capsys, monkeypatch):
+        # per side: the input's pairing kernel, shared by the center rung and
+        # the simple quotient, and the nondegeneracy checks of the quotient
+        # and of the one splitting step
+        calls = []
+        real = exactlin.integral_solution_lattice
+        monkeypatch.setattr(
+            twisted, "integral_solution_lattice", lambda *a: calls.append(a) or real(*a)
+        )
+        f = str(PROBLEMS / "tga_z3_squared.txt")
+        assert main(["decide", f, f]) == EXIT_OK
+        assert capsys.readouterr().out == "EQUIVALENT mu=1\n"
+        assert len(calls) == 6
 
     def test_decide_mixed_kinds(self, capsys):
         code = main(

@@ -19,6 +19,7 @@ from nctori.exactlin import (
     mat_transpose,
     saturate,
     smat_det,
+    smat_mul,
 )
 from nctori.hyperlattice import (
     CompatibleBasis,
@@ -142,23 +143,25 @@ class TestCompatibleInverse:
     the bases built over the conftest corpus."""
 
     def test_closed_forms(self, corpus, monkeypatch):
-        seen = {"bases": [], "transversal": [], "solve": []}
+        seen = {"bases": [], "transversal": [], "graph_map": [], "solve": []}
 
         def spy(store, fn):
-            def wrapped(*args):
-                out = fn(*args)
-                seen[store].append((args, out))
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                if store != "graph_map" or kwargs.get("jordan"):
+                    seen[store].append((args, out))
                 return out
 
             return wrapped
 
-        # the completed basis, the swapped one, the graph, and the packed
-        # coordinates that _transversal and canonical_form hand to _psolve
+        # the completed basis, the swapped one, the graph, the packed
+        # coordinates whose graph map _transversal eliminates mod q, and
+        # those canonical_form hands to _psolve
         for mod, name, store in (
             (reduction, "complete_isotropic_basis", "bases"),
             (reduction, "CompatibleBasis", "bases"),
             (reduction, "_transversal", "transversal"),
-            (hyperlattice, "_psolve", "solve"),
+            (hyperlattice, "_mod_q", "graph_map"),
             (reduction, "_psolve", "solve"),
         ):
             monkeypatch.setattr(mod, name, spy(store, getattr(mod, name)))
@@ -181,7 +184,8 @@ class TestCompatibleInverse:
             quad += not theta.is_rational()
             (_, base), (_, newbase) = seen["bases"]
             (((_, graph), _),) = seen["transversal"]
-            ((uv_coords,), _), ((fe_coords,), _) = seen["solve"]
+            (((uv_coords, _), _),) = seen["graph_map"]
+            (((fe_coords,), _),) = seen["solve"]
             for b in (base, newbase):
                 n, rows = b.n, b.rows()
                 bt = mat_transpose(rows)
@@ -375,7 +379,7 @@ def spy_certificates(monkeypatch):
     """Count the mod-p certificates and the exact passes behind them: the
     sign-vector Bareiss pass and the transversal's determinant."""
     calls = {"mod_p": 0, "sign": 0, "det": 0}
-    for name, key in (("_nonzero_mod_p", "mod_p"), ("_exact_sign_vector", "sign"), ("_pdet", "det")):
+    for name, key in (("_mod_q", "mod_p"), ("_exact_sign_vector", "sign"), ("_pdet", "det")):
         def counted(*args, orig=getattr(hyperlattice, name), key=key, **kwargs):
             calls[key] += 1
             return orig(*args, **kwargs)
@@ -401,7 +405,7 @@ class TestModPCertificates:
             p = _pack(mat)
             exact = hyperlattice._exact_sign_vector(p)
             assert hyperlattice._sign_vector(p) == exact
-            cert = hyperlattice._nonzero_mod_p(p, p[1], pivot=False)
+            cert = hyperlattice._mod_q(p, shift=p[1], pivot=False)[0] == len(mat)
             assert cert == (exact == (1,) * len(mat))
             certified += cert
         assert 1000 <= certified <= 1800
@@ -424,10 +428,10 @@ class TestModPCertificates:
         assert calls["sign"] == 2
         # the determinant certificate pivots; a determinant of q decides nothing
         flip = (None, 1, [[0, 1], [q + 1, 0]], None)
-        assert hyperlattice._nonzero_mod_p(flip)
-        assert not hyperlattice._nonzero_mod_p(flip, pivot=False)
-        assert not hyperlattice._nonzero_mod_p((None, 1, [[q]], None))
-        assert not hyperlattice._nonzero_mod_p((None, 1, [[1, 2], [2, 4]], None))
+        assert hyperlattice._mod_q(flip)[0] == 2
+        assert hyperlattice._mod_q(flip, pivot=False)[0] == 0
+        assert hyperlattice._mod_q((None, 1, [[q]], None))[0] == 0
+        assert hyperlattice._mod_q((None, 1, [[1, 2], [2, 4]], None))[0] == 1
 
     def test_fallback_when_no_prime_fits(self, monkeypatch):
         primes = hyperlattice._PRIMES
@@ -446,8 +450,145 @@ class TestModPCertificates:
     @pytest.mark.parametrize("n", [16, 20])
     def test_large_mixed_canon_runs_no_exact_pass(self, monkeypatch, n):
         calls = spy_certificates(monkeypatch)
+        exact = []
+        for mod, name in (
+            (hyperlattice, "_psolve"),
+            (hyperlattice, "_prank"),
+            (reduction, "_pinv"),
+            (exactlin, "_pinv"),
+            (reduction, "is_in_onn"),
+        ):
+            def counted(*args, orig=getattr(mod, name), name=name):
+                exact.append(name)
+                return orig(*args)
+
+            monkeypatch.setattr(mod, name, counted)
         reduction.canonical_form(random_skew(random.Random(5), n, quad_prob=0.5))
         assert calls["mod_p"] >= 2 and calls["sign"] == calls["det"] == 0
+        assert exact == []
+
+
+def residues(p, q, r):
+    """The packed p = (A + B sqrt d)/den mapped to F_q by sqrt d -> r."""
+    d, den, a, b = p
+    inv = pow(den, -1, q)
+    return [[(x + r * y) * inv % q for x, y in zip(ra, rb)] for ra, rb in zip(a, b or [[0] * len(ra) for ra in a])]
+
+
+def table_root(d):
+    """The prime and square root of d that _mod_q uses, None when none fits."""
+    for q in hyperlattice._PRIMES:
+        if d is None or pow(d, (q + 1) // 2, q) == d % q:
+            return q, 0 if d is None else pow(d, (q + 1) // 4, q)
+    return None
+
+
+def graph_rows(mat, rng):
+    """Rows U [I + M | I - M] with U a seeded unimodular matrix: in the
+    standard basis their coordinates in u_j = e_j + f_j, v_j = e_j - f_j are
+    U [I | M], so the graph map is M and the F block U needs pivoting."""
+    n = len(mat)
+    u = mat_identity(n)
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        c = rng.choice((-2, -1, 1, 2))
+        if i != j:
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    rows = [[int(i == j) + m for j, m in enumerate(r)] + [int(i == j) - m for j, m in enumerate(r)] for i, r in enumerate(mat)]
+    return smat_mul(u, rows)
+
+
+class TestModQCertificates:
+    """Each certificate of the mod-q routine against the exact route it skips,
+    on the conftest corpus and the seeded sign inputs, with forced fallbacks:
+    a value equal to the first table prime (zero mod q only), d = 59 (a
+    square mod no table prime) and sign vectors with -1s."""
+
+    def test_d59_fits_no_table_prime(self):
+        assert table_root(59) is None
+
+    def test_full_row_rank_against_prank(self, corpus, monkeypatch):
+        inputs = []
+        for mat in seeded_sign_inputs():
+            inputs += [mat, mat[: len(mat) // 2 + 1], [r + r for r in mat]]
+        ranks = [(hyperlattice._mod_q(p)[0], hyperlattice._prank(p)) for p in map(_pack, inputs)]
+        assert all(x == y for x, y in ranks)
+        assert sum(y < len(m) for (_, y), m in zip(ranks, inputs)) >= 200
+
+        seen = []
+
+        def spy(p, dim, *rest, orig=hyperlattice._check_isotropic):
+            seen.append(p)
+            return orig(p, dim, *rest)
+
+        monkeypatch.setattr(hyperlattice, "_check_isotropic", spy)
+        monkeypatch.setattr(reduction, "_check_isotropic", spy)
+        for theta in corpus:
+            reduction.canonical_form(theta)
+        assert len(seen) == 3 * len(corpus)
+        for p in seen:
+            assert hyperlattice._mod_q(p)[0] == hyperlattice._prank(p) == len(p[2])
+
+    def test_rank_fallbacks(self, monkeypatch):
+        calls = []
+        orig = hyperlattice._prank
+        monkeypatch.setattr(hyperlattice, "_prank", lambda p: calls.append(p) or orig(p))
+        q = hyperlattice._PRIMES[0]
+        IsotropicSubspace(1, ((q, 0),))  # rank 0 mod q, 1 exactly
+        rt = Scalar.sqrt(59)
+        IsotropicSubspace(2, ((rt, 0, 0, 0), (0, 1, 0, 0)))
+        assert len(calls) == 2
+        for rows in (((rt, 0, 0, 0), (2 * rt, 0, 0, 0)), ((q, 0), (2 * q, 0))):
+            with pytest.raises(ValueError, match="linearly dependent"):
+                IsotropicSubspace(len(rows), rows)
+        assert len(calls) == 4
+
+    def test_graph_map_against_exact(self, corpus, monkeypatch):
+        seen = []
+
+        def spy(base, p, orig=hyperlattice._transversal):
+            seen.append((base, p))
+            return orig(base, p)
+
+        monkeypatch.setattr(reduction, "_transversal", spy)
+        for theta in corpus:
+            reduction.canonical_form(theta)
+        minus = 0
+        for base, graph in seen:
+            n = base.n
+            uv = [[x + s * y for x, y in zip(e, f)] for s in (1, -1) for e, f in zip(base.e, base.f)]
+            coords = _pmul(graph, _pinv((None, 1, uv, None)))
+            exact = exactlin._psolve(coords)
+            rank, _, fe = hyperlattice._mod_q(coords, n, jordan=True)
+            assert rank == n
+            assert [r[n:] for r in fe] == residues(exact, *table_root(coords[0]))
+            zeta = hyperlattice._exact_sign_vector(exact)
+            assert hyperlattice._transversal(base, graph)[1] == tuple(z == -1 for z in zeta)
+            minus += -1 in zeta
+        assert len(seen) == len(corpus) and minus >= 20
+
+    def test_graph_map_certifies_exactly_the_all_plus_signs(self, monkeypatch):
+        solves = []
+        orig = hyperlattice._psolve
+        monkeypatch.setattr(hyperlattice, "_psolve", lambda p: solves.append(p) or orig(p))
+        rng = random.Random(31)
+        q = hyperlattice._PRIMES[0]
+        rt = Scalar.sqrt(59)
+
+        def check(mat):
+            zeta = hyperlattice._exact_sign_vector(_pack(mat))
+            _, swapped = select_transversal(CompatibleBasis.standard(len(mat)), graph_rows(mat, rng))
+            assert swapped == tuple(z == -1 for z in zeta)
+            return zeta
+
+        minus = sum(-1 in check(m) for m in seeded_sign_inputs() if m)
+        assert minus >= 300 and len(solves) == minus
+        # forced fallbacks, each with an all-plus zeta: M - I with leading
+        # minor q, F = q (singular mod q only), and sqrt 59
+        assert check([[q + 1]]) == (1,)
+        assert select_transversal(CompatibleBasis.standard(1), [[q * 3, -q]])[1] == (False,)
+        assert check([[rt, 1], [0, rt + 2]]) == (1, 1)
+        assert len(solves) == minus + 3
 
 
 class TestSaturationSkip:

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from nctori import exactlin, hyperlattice, invariants, reduction, twisted
-from nctori.exactlin import Scalar, mat_identity, mat_mul, mat_transpose
+from nctori.exactlin import Scalar, _pack, int_det, mat_identity, mat_mul, mat_transpose
+from nctori.hyperlattice import CompatibleBasis
 from nctori.invariants import degeneracy_subgroup
 from nctori.reduction import (
     ONN_MINUS,
@@ -27,7 +28,7 @@ from nctori.worked_examples import (
 )
 
 from conftest import random_skew
-from test_hyperlattice import random_so_element
+from test_hyperlattice import random_so_element, seeded_sign_inputs
 
 
 class TestSkewMatrix:
@@ -191,6 +192,104 @@ class TestAction:
                 continue
             assert act(inverse(g), out) == th
             checked += 1
+
+
+def flip1(n):
+    """Exchange e_1 and f_1: an element of O(n,n|Z) with det -1."""
+    a = [[int(i == j > 0) for j in range(n)] for i in range(n)]
+    b = [[int(i == j == 0) for j in range(n)] for i in range(n)]
+    return ONNElement(a, b, b, a)
+
+
+def count_calls(monkeypatch, mod, name):
+    calls = []
+    orig = getattr(mod, name)
+    monkeypatch.setattr(mod, name, lambda *args: calls.append(args) or orig(*args))
+    return calls
+
+
+class TestCertificates:
+    """The checks canonical_form certifies mod q, each against the exact route
+    it replaced, with forced fallbacks: a value equal to the first table
+    prime (zero mod q only) and d = 59 (a square mod no table prime)."""
+
+    def test_det_sign_against_int_det(self, corpus_forms):
+        for _, form in corpus_forms:
+            assert form.g.det_sign == int_det(form.g.matrix) == 1
+        # the rows of any h in O(n,n|Z) form a compatible basis B, and J B J has det h
+        rng = random.Random(53)
+        signs = []
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            h = random_so_element(rng, n)
+            if rng.random() < 0.5:
+                h = compose(h, flip1(n))
+            rows = h.matrix
+            g = ONNElement._of_basis(CompatibleBasis(n, tuple(map(tuple, rows[:n])), tuple(map(tuple, rows[n:]))))
+            assert g == ONNElement.from_matrix([r[n:] + r[:n] for r in rows[n:] + rows[:n]])
+            assert g.det_sign == int_det(g.matrix) == h.det_sign
+            signs.append(g.det_sign)
+        assert signs.count(-1) >= 50 and signs.count(1) >= 50
+
+    def test_action_identity_against_act(self, corpus_forms):
+        acts_as = reduction._acts_as
+        for theta, form in corpus_forms:
+            assert acts_as(form.g, _pack(theta.rows), _pack(form.theta_prime.rows))
+            off = SkewMatrix.from_upper(theta.n, {(0, 1): 1}) if theta.n > 1 else None
+            if off is not None:
+                assert act(form.g, theta) != off
+                assert not acts_as(form.g, _pack(theta.rows), _pack(off.rows))
+        rng = random.Random(59)
+        undefined = 0
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            g = random_so_element(rng, n)
+            if rng.random() < 0.5:  # C theta + D = theta, singular for odd n
+                eye, zero = mat_identity(n), [[0] * n for _ in range(n)]
+                g = compose(g, ONNElement(zero, eye, eye, zero))
+            theta, other = (random_skew(rng, n, denom_max=4, quad_prob=0.3) for _ in range(2))
+            try:
+                moved = act(g, theta)
+            except ActionUndefined:
+                moved = None
+                undefined += 1
+            else:
+                assert acts_as(g, _pack(theta.rows), _pack(moved.rows))
+            assert acts_as(g, _pack(theta.rows), _pack(other.rows)) == (moved == other)
+        assert undefined >= 30
+
+    def test_action_identity_where_c_theta_d_vanishes_mod_q(self):
+        # g = [[I, 0], [N, I]] on theta = t N with N N = -I: C theta + D = (1 - t) I,
+        # q I for t = 1 - q; the identity needs no invertibility check
+        q = hyperlattice._PRIMES[0]
+        n = 2
+        skew = [[0, 1], [-1, 0]]
+        g = ONNElement(mat_identity(n), [[0] * n for _ in range(n)], skew, mat_identity(n))
+        for t in (1 - q, Scalar(0, 1, 59), 1):
+            theta = SkewMatrix.from_upper(n, {(0, 1): t})
+            try:
+                moved = act(g, theta)
+            except ActionUndefined:
+                assert t == 1
+                moved = SkewMatrix.zero(n)
+            assert reduction._acts_as(g, _pack(theta.rows), _pack(moved.rows)) == (t != 1)
+
+    def test_nondegenerate_against_degeneracy_subgroup(self, corpus_forms):
+        cases = [t for theta, form in corpus_forms for t in (theta, form.theta_tilde)]
+        for mat in seeded_sign_inputs():
+            n = len(mat)
+            cases.append(SkewMatrix([[mat[i][j] - mat[j][i] for j in range(n)] for i in range(n)]))
+        verdicts = [reduction._nondegenerate(_pack(t.rows)) for t in cases]
+        assert verdicts == [degeneracy_subgroup(t).rank == 0 for t in cases]
+        assert 300 <= verdicts.count(True) and 300 <= verdicts.count(False)
+
+    def test_nondegenerate_fallback(self, monkeypatch):
+        calls = count_calls(monkeypatch, reduction, "degeneracy_subgroup")
+        q = hyperlattice._PRIMES[0]
+        for x in (Scalar(0, 1, 59), Scalar(Fraction(1, 3), q, 2)):
+            assert reduction._nondegenerate(_pack(SkewMatrix.from_upper(2, {(0, 1): x}).rows))
+        # the sqrt 59 part is an integer matrix, so only B = q J falls back
+        assert len(calls) == 1
 
 
 class TestGroupOps:
