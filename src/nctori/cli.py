@@ -10,7 +10,8 @@ Problem files are line oriented:
 
 Entries are exact: `a/b`, `c/d*rt`, or `a/b+c/d*rt` (also with `-`), where
 `rt` stands for sqrt(D) from the field header; D must be a squarefree
-integer in [2, 10^18].  Numbers are written in ASCII digits 0-9 only.
+integer in [2, 10^18].  Numbers are written in ASCII digits 0-9 only, at
+most 4300 of them.
 Commands:
 
     canon <file>              reduction g, k and the reduced matrices
@@ -63,6 +64,9 @@ EXIT_VERIFY = 3
 MAX_FIELD_D = 10**18
 # The mu-search costs about h^2: 1.1 s at this height on the sqrt10 pair.
 MAX_SEARCH_HEIGHT = 1000
+# int()'s default string limit; the parser enforces it itself, so a longer
+# number is a parse error whatever the Python version or PYTHONINTMAXSTRDIGITS
+MAX_DIGITS = 4300
 
 
 class ProblemSyntaxError(Exception):
@@ -81,11 +85,14 @@ _PURE_QUAD = re.compile("^" + _NUM.format("quad", "?") + r"\*rt$")
 _BOTH = re.compile("^" + _NUM.format("rat", "?") + _NUM.format("quad", "") + r"\*rt$")
 
 
-def _ascii_int(text: str) -> int:
-    """int() of an optionally signed run of ASCII digits; ValueError otherwise."""
-    if not _INT.fullmatch(text):
-        raise ValueError(f"not an integer: {text!r}")
-    return int(text)
+def _ascii_int(text: str) -> int | None:
+    """int() of an optionally signed run of ASCII digits, else None."""
+    return int(text) if _INT.fullmatch(text) else None
+
+
+def _too_long(text: str) -> bool:
+    """A run of more than MAX_DIGITS ASCII digits somewhere in text."""
+    return len(text) > MAX_DIGITS and re.search(f"[0-9]{{{MAX_DIGITS + 1}}}", text) is not None
 
 
 def parse_entry(text: str, d: int | None, line: int) -> Scalar:
@@ -108,6 +115,8 @@ def parse_entry(text: str, d: int | None, line: int) -> Scalar:
 def _words(raw: str):
     for lineno, line in enumerate(raw.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
+        if _too_long(stripped):
+            raise ProblemSyntaxError(lineno, f"a number has more than {MAX_DIGITS} digits")
         if stripped:
             yield lineno, stripped.split()
 
@@ -138,9 +147,8 @@ def parse_problem(raw: str):
     if rest == ["rational"]:
         d = None
     elif len(rest) == 2 and rest[0] == "sqrt":
-        try:
-            d = _ascii_int(rest[1])
-        except ValueError:
+        d = _ascii_int(rest[1])
+        if d is None:
             raise ProblemSyntaxError(lineno, f"bad field discriminant {rest[1]!r}")
         if not 2 <= d <= MAX_FIELD_D:
             raise ProblemSyntaxError(
@@ -155,29 +163,20 @@ def parse_problem(raw: str):
 
     if kind == "torus":
         lineno, rest = expect("dim")
-        if len(rest) != 1 or not (rest[0].isascii() and rest[0].isdigit()):
+        n = _ascii_int(rest[0]) if len(rest) == 1 else None
+        if n is None or n < 0:
             raise ProblemSyntaxError(lineno, "dim needs one nonnegative integer")
-        n = int(rest[0])
         group = None
     else:
         lineno, rest = expect("group")
-        if (
-            len(rest) != 4
-            or rest[0] != "free"
-            or not (rest[1].isascii() and rest[1].isdigit())
-            or rest[2] != "torsion"
-        ):
+        free = _ascii_int(rest[1]) if len(rest) == 4 else None
+        if free is None or rest[0] != "free" or rest[2] != "torsion":
             raise ProblemSyntaxError(
                 lineno, "group line must read 'group free R torsion m1,..,ms' ('-' for none)"
             )
-        free = int(rest[1])
-        if rest[3] == "-":
-            torsion = ()
-        else:
-            try:
-                torsion = tuple(_ascii_int(x) for x in rest[3].split(","))
-            except ValueError:
-                raise ProblemSyntaxError(lineno, f"bad torsion list {rest[3]!r}")
+        torsion = () if rest[3] == "-" else tuple(map(_ascii_int, rest[3].split(",")))
+        if None in torsion:
+            raise ProblemSyntaxError(lineno, f"bad torsion list {rest[3]!r}")
         try:
             group = FgGroup(free, torsion)
         except ValueError as exc:
@@ -232,9 +231,10 @@ def _search_height() -> int:
     raw = os.environ.get("SEARCH_HEIGHT")
     if raw is None:
         return DEFAULT_SEARCH_HEIGHT
-    try:
-        height = _ascii_int(raw)
-    except ValueError:
+    if _too_long(raw):
+        raise ProblemSyntaxError(0, f"SEARCH_HEIGHT has more than {MAX_DIGITS} digits")
+    height = _ascii_int(raw)
+    if height is None:
         raise ProblemSyntaxError(0, f"bad SEARCH_HEIGHT value {raw!r}")
     if not 0 <= height <= MAX_SEARCH_HEIGHT:
         raise ProblemSyntaxError(0, f"SEARCH_HEIGHT must lie in [0, {MAX_SEARCH_HEIGHT}], got {raw!r}")

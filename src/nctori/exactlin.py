@@ -445,25 +445,23 @@ def int_inverse_unimodular(rows) -> list[list[int]]:
     return u
 
 
-def _factor(rows, k: int) -> tuple[list[list[int]], list[list[int]]]:
-    """One Hermite form of [M | I] on its first k columns (Kannan-Bachem).
+def _factor(rows) -> tuple[list[list[int]], list[list[int]]]:
+    """One Hermite form of [M | I] on the k columns of M (Kannan-Bachem).
 
     Returns the rows [H_i | U_i] with H_i != 0, in echelon order, so that
     U_i @ M = H_i, and the HNF of the rows U_i whose H_i vanishes: the
     canonical basis of the left kernel of M.  No Smith form is needed, and
     the triangular transform stays small where the Smith transforms grow.
     """
-    m = len(rows)
+    m, k = len(rows), len(rows[0])
     aug = _hermite([int_row(r) + [int(i == j) for j in range(m)] for i, r in enumerate(rows)], k)
     rank = next((i for i, r in enumerate(aug) if not any(r[:k])), m)
     return aug[:rank], _hermite([r[k:] for r in aug[rank:]], m)
 
 
-def left_kernel(rows, ncols: int | None = None) -> list[list[int]]:
+def left_kernel(rows) -> list[list[int]]:
     """Basis of {x in Z^m : x @ M = 0}, in Hermite normal form."""
-    if not rows:
-        return []
-    return _factor(rows, len(rows[0]) if ncols is None else ncols)[1]
+    return _factor(rows)[1] if rows else []
 
 
 def _size_reduce(vec, basis) -> list[int]:
@@ -494,7 +492,7 @@ def solve_rows(a_rows, bs) -> list[list[int] | None]:
     if m == 0:
         return [None if any(int_row(b)) else [] for b in bs]
     k = len(a_rows[0])
-    piv_rows, kernel = _factor(a_rows, k)
+    piv_rows, kernel = _factor(a_rows)
     pivots = [next(j for j, x in enumerate(r) if x) for r in piv_rows]
     out = []
     for b in bs:
@@ -590,7 +588,7 @@ def _mod_kernel(nmat, q: int, k: int) -> list[list[int]]:
     return [r[k:] for r in _hermite(aug, k)[k:]]
 
 
-def integral_solution_lattice(rows, ncols: int | None = None) -> IntLattice:
+def integral_solution_lattice(rows) -> IntLattice:
     """All integer row vectors x with x @ M integral, as an IntLattice.
 
     Entries of M may lie in Q(sqrt d); :func:`_pack` writes M as
@@ -602,10 +600,10 @@ def integral_solution_lattice(rows, ncols: int | None = None) -> IntLattice:
     if m == 0:
         return IntLattice(0)
     _, den, nmat, quad = _pack(rows)
-    k = len(nmat[0]) if ncols is None else ncols
+    k = len(nmat[0])
     k1 = None
     if quad is not None:
-        k1 = left_kernel(quad, ncols=k)
+        k1 = left_kernel(quad)
         nmat = mat_mul(k1, nmat)
     sol = _mod_kernel(nmat, den, k)
     return IntLattice(m, sol if k1 is None else mat_mul(sol, k1))
@@ -628,7 +626,7 @@ def saturate(lat: IntLattice) -> IntLattice:
         return lat
     n = lat.ambient_dim
     perp = left_kernel(mat_transpose(lat.basis))
-    return IntLattice(n, left_kernel([[r[j] for r in perp] for j in range(n)], ncols=len(perp)))
+    return IntLattice(n, left_kernel([[r[j] for r in perp] for j in range(n)]))
 
 
 def complete_to_basis(rows, ambient: int) -> list[list[int]]:

@@ -108,10 +108,10 @@ class IsotropicSubspace:
             raise ValueError("dim does not match the number of basis vectors")
         if any(len(r) % 2 or len(r) != len(rows[0]) for r in rows):
             raise ValueError("pairing needs two vectors of one even length")
-        _check_isotropic(_pack(rows), self.dim)
+        _check_isotropic(_pack(rows))
 
 
-def _check_isotropic(p, dim: int, what: str = "subspace") -> None:
+def _check_isotropic(p, what: str = "subspace") -> None:
     """The checks of :class:`IsotropicSubspace` on packed rows: all pairings
     at once, the rows times their half-swapped transpose, then the rank: full
     row rank mod q (:func:`_mod_q`), else the exact ``_prank``."""
@@ -121,10 +121,7 @@ def _check_isotropic(p, dim: int, what: str = "subspace") -> None:
     gram = _pmul(p, (d, den, *swapped))
     if gram[3] is not None or any(map(any, gram[2])):
         raise NotIsotropic(f"{what} is not isotropic")
-    rank = _mod_q(p)[0]
-    if rank < len(a):
-        rank = _prank(p)
-    if rank != dim:
+    if _mod_q(p)[0] < len(a) and _prank(p) < len(a):
         raise ValueError("basis vectors are linearly dependent")
 
 
@@ -147,10 +144,10 @@ def complete_isotropic_basis(lat: IntLattice) -> CompatibleBasis:
     if not _is_summand(lat.basis):
         raise NotSaturated("lattice is not a direct summand of Z^{2n}")
     rows_m = [list(r) for r in lat.basis]
-    _check_isotropic((None, 1, rows_m, None), r, "lattice")
+    _check_isotropic((None, 1, rows_m, None), "lattice")
 
     # W = {(0|w) : <(0|w), M> = 0}; the pairing only sees first halves of M
-    wker = left_kernel([[row[j] for row in rows_m] for j in range(n)], ncols=r)
+    wker = left_kernel([[row[j] for row in rows_m] for j in range(n)])
     wrows = [[0] * n + list(w) for w in wker]
     big = saturate(IntLattice(N, rows_m + wrows))
     assert big.rank == n, "M + W must saturate to rank n"
@@ -160,7 +157,7 @@ def complete_isotropic_basis(lat: IntLattice) -> CompatibleBasis:
     assert None not in coords
     change = complete_to_basis(coords, n)
     evecs = mat_mul(change, [list(b) for b in big.basis])
-    _check_isotropic((None, 1, evecs, None), n)
+    _check_isotropic((None, 1, evecs, None))
 
     # dual-basis preimages: <h_j, e_i> = delta_ij
     apair = mat_transpose([row[n:] + row[:n] for row in evecs])

@@ -251,7 +251,7 @@ class CanonicalForm:
 
 def degeneracy_subgroup(theta: SkewMatrix) -> IntLattice:
     """{x in Z^n : x @ theta in Z^n} (rank n - k in the canonical form)."""
-    return integral_solution_lattice([list(r) for r in theta.rows], theta.n)
+    return integral_solution_lattice([list(r) for r in theta.rows])
 
 
 def _acts_as(g: ONNElement, th, prime) -> bool:
@@ -312,7 +312,7 @@ def canonical_form(theta: SkewMatrix) -> CanonicalForm:
         [[-x for x in r] + [den * (i == j) for j in range(n)] for i, r in enumerate(ta)],
         tb and [[-x for x in r] + [0] * n for r in tb],
     )
-    _check_isotropic(graph, n)
+    _check_isotropic(graph)
 
     eta, swapped = _transversal(base, graph)
     assert not any(swapped[:r]), "slots holding M can never swap"

@@ -2,10 +2,10 @@
 
 A group is presented by its free rank r and a divisor chain of torsion
 orders; a skew-symmetric bicharacter is an exponent matrix E over the
-generators, pairing(g, h) = e(g @ E @ h^t) on exponent vectors.  The module
-computes the kernel-of-pairing invariants, the simple quotient, the trace
-range (through matrix-algebra splitting of the torsion), and the full
-equivalence decision.
+generators, pairing(g, h) = e(g @ E @ h^t) on exponent vectors.  Each
+Bicharacter computes its pairing-kernel lattice once, at construction; from
+it come the center, the simple quotient, the trace range (through
+matrix-algebra splitting of the torsion) and the equivalence decision.
 """
 
 from __future__ import annotations
@@ -120,10 +120,11 @@ class Bicharacter:
 
     The checks run on the packed matrix (A + B sqrt d)/den of
     :func:`~nctori.exactlin._pack`: c times an entry is an integer exactly
-    when its B part is 0 and den divides c times its A part.
+    when its B part is 0 and den divides c times its A part.  ``kernel`` is
+    the pairing-kernel lattice {x in Z^N : x @ E integral}, computed once.
     """
 
-    __slots__ = ("group", "exponents")
+    __slots__ = ("group", "exponents", "kernel")
 
     def __init__(self, group: FgGroup, rows):
         n = group.ngens
@@ -152,6 +153,7 @@ class Bicharacter:
                         )
         self.group = group
         self.exponents = rows
+        self.kernel = integral_solution_lattice(rows)
 
     @classmethod
     def from_skew(cls, theta: SkewMatrix) -> "Bicharacter":
@@ -181,11 +183,6 @@ def normalize_cocycle(rows) -> SkewMatrix:
     )
 
 
-def _pairing_kernel_lattice(sigma: Bicharacter) -> IntLattice:
-    """{x in Z^N : x @ E all integral}, the lift of the kernel of the pairing."""
-    return integral_solution_lattice(sigma.exponents, sigma.group.ngens)
-
-
 def hsigma(sigma: Bicharacter) -> tuple[int, tuple[int, ...]]:
     """Structure (rank, torsion orders) of the kernel of the pairing.
 
@@ -193,12 +190,7 @@ def hsigma(sigma: Bicharacter) -> tuple[int, tuple[int, ...]]:
     rank is the center's torus dimension and its torsion size the number of
     connected components of the center's spectrum.
     """
-    return _hsigma(sigma, _pairing_kernel_lattice(sigma))
-
-
-def _hsigma(sigma: Bicharacter, lat: IntLattice) -> tuple[int, tuple[int, ...]]:
-    """:func:`hsigma` from the pairing-kernel lattice."""
-    rel = sigma.group.relation_rows()
+    lat, rel = sigma.kernel, sigma.group.relation_rows()
     if lat.rank == 0 or not rel:
         return (lat.rank, ())
     # the Bicharacter check puts each relation m e_i in the kernel
@@ -231,8 +223,6 @@ def _present_quotient(sigma: Bicharacter, carrier_rows, relation_rows) -> Bichar
     since exponents only matter mod Z.
     """
     ell = len(carrier_rows)
-    if ell == 0:
-        return Bicharacter(FgGroup(0), [])
     coords = solve_rows(carrier_rows, relation_rows)
     assert None not in coords, "relations must lie inside the carrier"
     if coords:
@@ -257,14 +247,9 @@ def _present_quotient(sigma: Bicharacter, carrier_rows, relation_rows) -> Bichar
 
 def simple_quotient(sigma: Bicharacter) -> Bicharacter:
     """The bicharacter induced on G / ker(pairing); always nondegenerate."""
-    return _simple_quotient(sigma, _pairing_kernel_lattice(sigma))
-
-
-def _simple_quotient(sigma: Bicharacter, lat: IntLattice) -> Bicharacter:
-    """:func:`simple_quotient` from the pairing-kernel lattice."""
     n = sigma.group.ngens
     out = _present_quotient(
-        sigma, mat_identity(n), [list(b) for b in lat.basis]
+        sigma, mat_identity(n), [list(b) for b in sigma.kernel.basis]
     )
     assert hsigma(out) == (0, ()), "quotient pairing must be nondegenerate"
     return out
@@ -297,8 +282,6 @@ def _split_top_torsion(sigma: Bicharacter) -> tuple[Bicharacter, int]:
     kernel = IntLattice(n, _mod_kernel([[j] for j in jvals], m, 1))
     relations = group.relation_rows()
     relations.append([1 if i == t else 0 for i in range(n)])
-    for row in relations:
-        assert kernel.contains(row)
     out = _present_quotient(sigma, [list(b) for b in kernel.basis], relations)
     assert hsigma(out) == (0, ()), "splitting keeps the pairing nondegenerate"
     return out, m
@@ -325,11 +308,7 @@ def trace_range_tga(sigma: Bicharacter) -> TraceRange:
     at a time, each contributing a matrix-algebra factor that scales the
     range by 1/m; read the torsion-free remainder as a torus.
     """
-    return _split_range(simple_quotient(sigma))
-
-
-def _split_range(current: Bicharacter) -> TraceRange:
-    """:func:`trace_range_tga` from the simple quotient."""
+    current = simple_quotient(sigma)
     multiplier = 1
     while current.group.torsion_orders:
         current, m = _split_top_torsion(current)
@@ -343,13 +322,13 @@ def morita_equivalent_tga(
 ) -> Verdict:
     """Strong Morita equivalence of two twisted group algebras.
 
-    Requires equal centers (rank and torsion size of the pairing kernel),
-    compatible group ranks, and trace ranges agreeing up to a positive
-    factor; Unknown propagates from the bounded search.
+    Requires equal centers (rank and torsion size of the pairing kernel, whose
+    lattice each Bicharacter computed once, at construction), compatible
+    group ranks, and trace ranges agreeing up to a positive factor; Unknown
+    propagates from the bounded search.
     """
-    lat1, lat2 = _pairing_kernel_lattice(sigma1), _pairing_kernel_lattice(sigma2)
-    r1, tor1 = _hsigma(sigma1, lat1)
-    r2, tor2 = _hsigma(sigma2, lat2)
+    r1, tor1 = hsigma(sigma1)
+    r2, tor2 = hsigma(sigma2)
     size1, size2 = math.prod(tor1), math.prod(tor2)
     if r1 != r2:
         return Verdict.not_equivalent(REASON_CENTER, f"center-rank {r1} vs {r2}")
@@ -361,7 +340,5 @@ def morita_equivalent_tga(
     if not (g1 == g2 or g1 + g2 == 1):
         return Verdict.not_equivalent(REASON_DIMENSION, f"group-rank {g1} vs {g2}")
     return range_equal_up_to_scaling(
-        _split_range(_simple_quotient(sigma1, lat1)),
-        _split_range(_simple_quotient(sigma2, lat2)),
-        height,
+        trace_range_tga(sigma1), trace_range_tga(sigma2), height
     )

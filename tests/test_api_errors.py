@@ -3,7 +3,9 @@ given exception with the given message fragment.
 
 The first table pins the integer boundary: every integer entry point
 rejects an entry that is not an integer, where int() alone would truncate
-it (1.5 -> 1, 7/2 -> 3, 2.9 -> 2).
+it (1.5 -> 1, 7/2 -> 3, 2.9 -> 2).  The last table holds public behaviour
+that no other test reaches: each call returns the given value, or raises
+the given exception.
 """
 
 from fractions import Fraction
@@ -29,7 +31,9 @@ from nctori import (
     int_det,
     is_in_onn,
     normalize_cocycle,
+    pairing,
     pfaffian,
+    pfaffian_from_matchings,
     select_transversal,
     snf,
 )
@@ -136,3 +140,65 @@ ERRORS = {
 def test_error_branches(call, exc, message):
     with pytest.raises(exc, match=message):
         call()
+
+
+RT2 = Scalar.sqrt(2)
+
+
+def _equal_and_hash_equal(x, y):
+    return x == y, hash(x) == hash(y)
+
+
+BEHAVIOUR = {
+    "Scalar.conjugate": (lambda: Scalar(1, 2, 2).conjugate(), Scalar(1, -2, 2)),
+    # 1 / (1 + sqrt 2) = sqrt 2 - 1
+    "int / Scalar": (lambda: 1 / (1 + RT2), Scalar(-1, 1, 2)),
+    "Scalar <=": (lambda: (1 + RT2 <= 3, 3 <= 1 + RT2, RT2 <= RT2), (True, False, True)),
+    "Scalar >=": (lambda: (Scalar(Fraction(3, 2)) >= RT2, RT2 >= Fraction(3, 2)), (True, False)),
+    "sqrt 2 == sqrt 3": (lambda: RT2 == Scalar.sqrt(3), False),
+    "Scalar + str": (lambda: RT2 + "1", TypeError),
+    "TraceRange.contains another field": (
+        lambda: TraceRange([1, RT2]).contains(Scalar.sqrt(3)), False
+    ),
+    "TraceRange.contains a non-integral coordinate": (
+        lambda: TraceRange([1, RT2]).contains(Fraction(1, 2) + RT2), False
+    ),
+    "pairing of empty vectors": (lambda: pairing([], []), 0),
+    "pfaffian_from_matchings odd n": (
+        lambda: pfaffian_from_matchings(SkewMatrix([[0]])), ValueError
+    ),
+    "hash Scalar": (lambda: _equal_and_hash_equal(Scalar(1, 2, 2), 2 * RT2 + 1), (True, True)),
+    "hash IntLattice": (
+        lambda: _equal_and_hash_equal(IntLattice(2, [[2, 0], [0, 3]]), IntLattice(2, [[2, 3], [0, 3]])),
+        (True, True),
+    ),
+    "hash TraceRange": (
+        lambda: _equal_and_hash_equal(TraceRange([1, RT2]), TraceRange([1 + RT2, 1])), (True, True)
+    ),
+    "hash SkewMatrix": (
+        lambda: _equal_and_hash_equal(
+            SkewMatrix([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]]),
+            SkewMatrix.from_upper(2, {(0, 1): Fraction(1, 2)}),
+        ),
+        (True, True),
+    ),
+    "hash ONNElement": (
+        lambda: _equal_and_hash_equal(ONNElement.identity(1), ONNElement([[1]], [[0]], [[0]], [[1]])),
+        (True, True),
+    ),
+    "hash FgGroup": (
+        lambda: _equal_and_hash_equal(
+            FgGroup(1, (2, 4)), FgGroup.from_relations(3, [[0, 2, 0], [0, 0, 4]])
+        ),
+        (True, True),
+    ),
+}
+
+
+@pytest.mark.parametrize("call, expected", BEHAVIOUR.values(), ids=BEHAVIOUR)
+def test_public_behaviour(call, expected):
+    if isinstance(expected, type) and issubclass(expected, Exception):
+        with pytest.raises(expected):
+            call()
+    else:
+        assert call() == expected

@@ -179,6 +179,19 @@ class TestCommands:
         assert capsys.readouterr().out == "EQUIVALENT mu=1\n"
         assert len(calls) == 6
 
+    @pytest.mark.parametrize("name, count", [("tga_z3_squared.txt", 3), ("tga_z6_trivial.txt", 2)])
+    def test_invariants_tga_builds_each_kernel_lattice_once(self, capsys, monkeypatch, name, count):
+        # one per Bicharacter: the input, its simple quotient, and the
+        # result of each splitting step
+        calls = []
+        real = exactlin.integral_solution_lattice
+        monkeypatch.setattr(
+            twisted, "integral_solution_lattice", lambda *a: calls.append(a) or real(*a)
+        )
+        assert main(["invariants", str(PROBLEMS / name)]) == EXIT_OK
+        capsys.readouterr()
+        assert len(calls) == count
+
     def test_decide_mixed_kinds(self, capsys):
         code = main(
             [
@@ -301,6 +314,39 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("parse error: line 0: bad SEARCH_HEIGHT value ")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            pytest.param("kind torus\nfield rational\ndim 2\nrow 0 {}\nrow 0 0\n", 4, id="numerator"),
+            pytest.param("kind torus\nfield rational\ndim 2\nrow 0 1/{}\nrow 0 0\n", 4, id="denominator"),
+            pytest.param("kind torus\nfield sqrt 2\ndim 2\nrow 0 1+{}*rt\nrow 0 0\n", 4, id="sqrt part"),
+            pytest.param("kind torus\nfield rational\ndim {}\n", 3, id="dim"),
+            pytest.param("kind tga\nfield rational\ngroup free {} torsion -\n", 3, id="free"),
+            pytest.param("kind tga\nfield rational\ngroup free 0 torsion 3,{}\n", 3, id="torsion"),
+            pytest.param("kind torus\nfield sqrt {}\ndim 0\n", 2, id="field D"),
+            pytest.param(None, 0, id="SEARCH_HEIGHT"),
+        ],
+    )
+    def test_over_long_number_exit(self, capsys, tmp_path, monkeypatch, text, line):
+        # one digit past int()'s default string limit, whatever limit is set
+        digits = "3" * 4301
+        monkeypatch.setenv("SEARCH_HEIGHT", digits if text is None else "20")
+        f = tmp_path / "long.txt"
+        f.write_text("kind torus\nfield rational\ndim 0\n" if text is None else text.format(digits))
+        assert main(["decide", str(f), str(f)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"parse error: line {line}: ")
+        assert "more than 4300 digits" in captured.err
+        assert "int_max_str_digits" not in captured.err
+
+    def test_numbers_of_4300_digits_parse(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("SEARCH_HEIGHT", "0" * 4299 + "3")
+        f = tmp_path / "long.txt"
+        f.write_text(f"kind torus\nfield rational\ndim {'0' * 4299}2\nrow 0 {'0' * 4299}1/2\nrow -1/2 0\n")
+        assert main(["decide", str(f), str(f)]) == EXIT_OK
+        assert capsys.readouterr().out == "EQUIVALENT mu=1\n"
 
     def test_zero_denominator_exit(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"

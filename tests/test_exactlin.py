@@ -214,7 +214,7 @@ class TestIntegralSolutionLattice:
         assert lat == IntLattice(2, mat_identity(2))
 
     def test_sqrt2_entry(self):
-        lat = integral_solution_lattice([[Scalar(0, 1, 2)]], 1)
+        lat = integral_solution_lattice([[Scalar(0, 1, 2)]])
         assert lat.rank == 0
 
     def test_brute_force_oracle(self):
@@ -227,7 +227,7 @@ class TestIntegralSolutionLattice:
                 for _ in range(m)
             ]
             q = math.lcm(*(x.denominator for row in mat for x in row))
-            got = integral_solution_lattice(mat, k)
+            got = integral_solution_lattice(mat)
             rows = []
             span = range(-q, q + 1)
             import itertools
@@ -578,7 +578,7 @@ def two_kernel_saturation(lat):
         return lat
     n = lat.ambient_dim
     perp = left_kernel([list(c) for c in zip(*lat.basis)])
-    return IntLattice(n, left_kernel([[r[j] for r in perp] for j in range(n)], ncols=len(perp)))
+    return IntLattice(n, left_kernel([[r[j] for r in perp] for j in range(n)]))
 
 
 def unimodular(rng, n):
@@ -624,7 +624,7 @@ def _kernel_test_matrices(count=320, seed=59):
 def _check_kernels(mat, k):
     """left_kernel and saturate against the SNF oracles, as lattices."""
     m = len(mat)
-    ker = left_kernel(mat, ncols=k)
+    ker = left_kernel(mat)
     assert IntLattice(m, ker) == IntLattice(m, snf_left_kernel(mat, ncols=k))
     assert len(ker) == len(IntLattice(m, ker).basis)  # a basis, not a spanning set
     lat = IntLattice(k, mat)
@@ -658,7 +658,7 @@ class TestHnfKernelsAgainstSnf:
             # an integer matrix over Q: the rational part is the lattice
             den = rng.randint(1, 12)
             frac = [[Fraction(e, den) for e in r] for r in mat]
-            assert integral_solution_lattice(frac, k) == snf_integral_solution_lattice(frac, k)
+            assert integral_solution_lattice(frac) == snf_integral_solution_lattice(frac, k)
         assert solvable > 300 and unsolvable > 300
 
     def test_sqrt2_matrices(self):
@@ -674,7 +674,7 @@ class TestHnfKernelsAgainstSnf:
                      for j in range(k)] for _ in range(m)]
             mat = [[Scalar(a, b, 2 if b else None) for a, b in zip(ra, rq)]
                    for ra, rq in zip(rat, quad)]
-            got = integral_solution_lattice(mat, k)
+            got = integral_solution_lattice(mat)
             assert got == snf_integral_solution_lattice(mat, k)
             lat = IntLattice(m, [[2 * e for e in r] for r in got.basis])
             assert saturate(lat) == snf_saturate(lat)
@@ -683,7 +683,7 @@ class TestHnfKernelsAgainstSnf:
         for theta in corpus:
             n = theta.n
             rows = [list(r) for r in theta.rows]
-            lat = integral_solution_lattice(rows, n)
+            lat = integral_solution_lattice(rows)
             assert lat == snf_integral_solution_lattice(rows, n)
             # q times the rational part of theta: skew, so singular at odd n
             q = math.lcm(*(x.rat.denominator for r in rows for x in r))

@@ -517,9 +517,9 @@ class TestModQCertificates:
 
         seen = []
 
-        def spy(p, dim, *rest, orig=hyperlattice._check_isotropic):
+        def spy(p, *rest, orig=hyperlattice._check_isotropic):
             seen.append(p)
-            return orig(p, dim, *rest)
+            return orig(p, *rest)
 
         monkeypatch.setattr(hyperlattice, "_check_isotropic", spy)
         monkeypatch.setattr(reduction, "_check_isotropic", spy)

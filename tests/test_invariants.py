@@ -301,7 +301,7 @@ def _transporter_basis(l1, l2):
         [-n_cond[1][0] / det1, n_cond[0][0] / det1],
     ]
     dx = math.lcm(*(f.denominator for row in inv1 for f in row))
-    lat = integral_solution_lattice([[f / dx for f in row] for row in n_cond], 4)
+    lat = integral_solution_lattice([[f / dx for f in row] for row in n_cond])
     assert lat.rank == 2
     d = l1.d
     t1, t2 = (
@@ -450,7 +450,7 @@ class TestTransporter:
             rows = _mod_kernel(nmat, q, k)
             lat = IntLattice(t, rows)
             assert lat == integral_solution_lattice(
-                [[Fraction(x, q) for x in r] for r in nmat], k
+                [[Fraction(x, q) for x in r] for r in nmat]
             )
             for y in rows:
                 assert all(sum(a * r[j] for a, r in zip(y, nmat)) % q == 0 for j in range(k))
