@@ -11,7 +11,8 @@ Problem files are line oriented:
 Entries are exact: `a/b`, `c/d*rt`, or `a/b+c/d*rt` (also with `-`), where
 `rt` stands for sqrt(D) from the field header; D must be a squarefree
 integer in [2, 10^18].  Numbers are written in ASCII digits 0-9 only, at
-most 4300 of them.
+most 4300 of them; that bounds the input alone, and outputs are printed
+whole.
 Commands:
 
     canon <file>              reduction g, k and the reduced matrices
@@ -20,7 +21,8 @@ Commands:
     verify-paper-examples     replay the built-in reference inputs
 
 Exit codes: 0 success (Unknown verdicts included), 1 parse error,
-2 invariant violation, 3 verification failure.  The environment variable
+2 invariant violation, 3 verification failure, 141 stdout closed by its
+reader.  The environment variable
 SEARCH_HEIGHT (an integer in [0, 1000]) overrides the bounded mu-search
 height (default 20).
 """
@@ -35,7 +37,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .exactlin import Scalar
+from .exactlin import Scalar, _unpack
 from .invariants import (
     DEFAULT_SEARCH_HEIGHT,
     Verdict,
@@ -58,6 +60,8 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_INVARIANT = 2
 EXIT_VERIFY = 3
+# what a shell reports for a process that SIGPIPE ended (128 + 13)
+EXIT_BROKEN_PIPE = 141
 
 # Squarefreeness is tested by trial division up to the cube root of D,
 # about 0.2 s at this bound.
@@ -95,21 +99,33 @@ def _too_long(text: str) -> bool:
     return len(text) > MAX_DIGITS and re.search(f"[0-9]{{{MAX_DIGITS + 1}}}", text) is not None
 
 
-def parse_entry(text: str, d: int | None, line: int) -> Scalar:
+def parse_entry(text: str, d: int | None, line: int) -> tuple[int, int, int, int]:
+    """(p, q, r, s) for the entry p/q + (r/s) rt, each part in lowest terms
+    with q, s > 0, read straight from the digits the pattern matched."""
     m = _PURE_RAT.match(text) or _PURE_QUAD.match(text) or _BOTH.match(text)
     if m is None:
         raise ProblemSyntaxError(line, f"cannot parse entry {text!r}")
-    # each part straight from the digits the pattern matched
     part = m.groupdict()
-    try:
-        rat, quad = (
-            Fraction(int(part.get(k) or 0), int(part.get(k + "_den") or 1)) for k in ("rat", "quad")
-        )
-    except ZeroDivisionError:
-        raise ProblemSyntaxError(line, f"zero denominator in entry {text!r}")
-    if quad and d is None:
+    out = []
+    for k in ("rat", "quad"):
+        num, den = int(part.get(k) or 0), int(part.get(k + "_den") or 1)
+        if not den:
+            raise ProblemSyntaxError(line, f"zero denominator in entry {text!r}")
+        g = math.gcd(num, den)
+        out += (num // g, den // g)
+    if out[2] and d is None:
         raise ProblemSyntaxError(line, "entry uses rt but the field is rational")
-    return Scalar(rat, quad, d if quad else None)
+    return tuple(out)
+
+
+def _pack_entries(entries, d: int | None) -> tuple:
+    """The packed matrix (d, den, A, B) of parsed entries over their least
+    common denominator, d = B = None when no entry uses rt."""
+    den = math.lcm(*(x for r in entries for e in r for x in e[1::2]))
+    a = [[p * (den // q) for p, q, _, _ in r] for r in entries]
+    if not any(e[2] for r in entries for e in r):
+        return None, den, a, None
+    return d, den, a, [[x * (den // y) for _, _, x, y in r] for r in entries]
 
 
 def _words(raw: str):
@@ -123,6 +139,15 @@ def _words(raw: str):
 
 def parse_problem(raw: str):
     """Parse a problem file into a SkewMatrix or a Bicharacter."""
+    group, packed = _read_problem(raw)
+    if group is None:
+        return SkewMatrix(_unpack(*packed))
+    return Bicharacter._of_packed(group, packed)
+
+
+def _read_problem(raw: str):
+    """(group, packed exponent matrix) of a problem file; group is None for
+    a torus."""
     lines = list(_words(raw))
     if not lines:
         raise ProblemSyntaxError(1, "empty problem file")
@@ -199,9 +224,7 @@ def parse_problem(raw: str):
             lines[-1][0], f"got {len(rows)} rows, expected {n}"
         )
 
-    if kind == "torus":
-        return SkewMatrix(rows)
-    return Bicharacter(group, rows)
+    return group, _pack_entries(rows, d)
 
 
 def format_torus(theta: SkewMatrix) -> str:
@@ -389,9 +412,23 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    # MAX_DIGITS bounds what is read; what is printed may be longer, so
+    # int()'s string limit is lifted while a command runs
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): stop without a traceback, and
+        # send the interpreter's last flush to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except ProblemSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -403,6 +440,9 @@ def main(argv=None) -> int:
         detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
         print(f"invariant violation: {detail}", file=sys.stderr)
         return EXIT_INVARIANT
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

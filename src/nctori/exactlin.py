@@ -8,9 +8,9 @@ Conventions used throughout the package:
 * matrices over a field are lists of lists of :class:`Scalar` at the API;
   inside they are integer pairs over one common denominator,
   (A + B*sqrt(d))/den with A and B integer matrices.  :func:`_pack` is the
-  one converter into that form and the one place that rejects a second
-  quadratic field; every module that computes on integer pairs takes them
-  from it.  The packed operations _pmul, _pinv, _psolve, _pdet and _prank
+  one converter from Scalars into that form and the one place that rejects
+  a second quadratic field; the problem-file parser builds the form from
+  its digits directly.  The packed operations _pmul, _pinv, _psolve, _pdet and _prank
   stay in that form, so chains of them unpack once; smat_mul, smat_inv,
   smat_det and smat_rank are their wrappers.  Every determinant, rank and
   inverse comes from one fraction-free elimination, :func:`_bareiss`;
@@ -589,17 +589,22 @@ def _mod_kernel(nmat, q: int, k: int) -> list[list[int]]:
 
 
 def integral_solution_lattice(rows) -> IntLattice:
-    """All integer row vectors x with x @ M integral, as an IntLattice.
+    """All integer row vectors x with x @ M integral, as an IntLattice;
+    entries of M may lie in Q(sqrt d).  See :func:`_integral_lattice`."""
+    return _integral_lattice(_pack(rows))
 
-    Entries of M may lie in Q(sqrt d); :func:`_pack` writes M as
-    (N + B sqrt d)/den.  The sqrt-part of x @ M must vanish identically:
-    x = y @ K for K the integer left kernel of B (K = I when M is rational).
-    Then y @ K @ N = 0 mod den, a :func:`_mod_kernel`.
+
+def _integral_lattice(p) -> IntLattice:
+    """:func:`integral_solution_lattice` of the packed M = (N + B sqrt d)/den.
+
+    The sqrt-part of x @ M must vanish identically: x = y @ K for K the
+    integer left kernel of B (K = I when M is rational).  Then
+    y @ K @ N = 0 mod den, a :func:`_mod_kernel`.
     """
-    m = len(rows)
+    _, den, nmat, quad = p
+    m = len(nmat)
     if m == 0:
         return IntLattice(0)
-    _, den, nmat, quad = _pack(rows)
     k = len(nmat[0])
     k1 = None
     if quad is not None:

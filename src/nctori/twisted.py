@@ -15,13 +15,14 @@ import math
 from .exactlin import (
     IntLattice,
     Scalar,
+    _integral_lattice,
     _mod_kernel,
     _pack,
     _pmul,
+    _reduced,
     _unpack,
     int_inverse_unimodular,
     int_row,
-    integral_solution_lattice,
     mat_identity,
     mat_mul,
     mat_transpose,
@@ -118,21 +119,33 @@ class FgGroup:
 class Bicharacter:
     """A skew-symmetric bicharacter via its exponent matrix on generators.
 
-    The checks run on the packed matrix (A + B sqrt d)/den of
-    :func:`~nctori.exactlin._pack`: c times an entry is an integer exactly
-    when its B part is 0 and den divides c times its A part.  ``kernel`` is
-    the pairing-kernel lattice {x in Z^N : x @ E integral}, computed once.
+    The matrix is held packed, (A + B sqrt d)/den as in
+    :mod:`~nctori.exactlin`, with den least and d = B = None when it is
+    rational; ``exponents`` is a view of it as rows of Scalars, built on
+    first use.  The checks run on the integers: c times an entry is an
+    integer exactly when its B part is 0 and den divides c times its A
+    part.  ``kernel`` is the pairing-kernel lattice
+    {x in Z^N : x @ E integral}, computed once.
     """
 
-    __slots__ = ("group", "exponents", "kernel")
+    __slots__ = ("group", "_packed", "_exponents", "kernel")
 
     def __init__(self, group: FgGroup, rows):
+        self._setup(group, _pack(rows))
+
+    @classmethod
+    def _of_packed(cls, group: FgGroup, packed) -> "Bicharacter":
+        """The bicharacter of a packed exponent matrix over its least den."""
+        sigma = object.__new__(cls)
+        sigma._setup(group, packed)
+        return sigma
+
+    def _setup(self, group: FgGroup, packed) -> None:
         n = group.ngens
-        rows = tuple(tuple(Scalar.of(x) for x in r) for r in rows)
-        _, den, a, b = _pack(rows)
-        b = b or [[0] * len(r) for r in a]
-        if len(rows) != n or any(len(r) != n for r in rows):
+        _, den, a, b = packed
+        if len(a) != n or any(len(r) != n for r in a):
             raise InvalidBicharacter(f"exponent matrix must be {n}x{n}")
+        b = b or [[0] * n for _ in a]
         for i in range(n):
             if a[i][i] % den or b[i][i]:
                 raise InvalidBicharacter("diagonal exponents must be integers")
@@ -141,8 +154,7 @@ class Bicharacter:
                     raise InvalidBicharacter(
                         "matrix must be skew-symmetric modulo Z"
                     )
-        orders = group.generator_orders()
-        for i, m in enumerate(orders):
+        for i, m in enumerate(group.generator_orders()):
             if not m:
                 continue
             for j in range(n):
@@ -152,20 +164,28 @@ class Bicharacter:
                             f"order-{m} generator {i} pairs by a non m-th root"
                         )
         self.group = group
-        self.exponents = rows
-        self.kernel = integral_solution_lattice(rows)
+        self._packed = packed
+        self._exponents = None
+        self.kernel = _integral_lattice(packed)
+
+    @property
+    def exponents(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The exponent matrix as rows of Scalars."""
+        if self._exponents is None:
+            self._exponents = tuple(map(tuple, _unpack(*self._packed)))
+        return self._exponents
 
     @classmethod
     def from_skew(cls, theta: SkewMatrix) -> "Bicharacter":
         """The bicharacter of a noncommutative torus on Z^n."""
-        return cls(FgGroup(theta.n), [list(r) for r in theta.rows])
+        return cls(FgGroup(theta.n), theta.rows)
 
     def pairing_exponent(self, x, y) -> Scalar:
         """g @ E @ h^t for exponent vectors, one packed product; defined
         modulo Z."""
         if not x or not y:
             return Scalar(0)
-        gram = _pmul(_pmul(_pack([x]), _pack(self.exponents)), _pack([[v] for v in y]))
+        gram = _pmul(_pmul(_pack([x]), self._packed), _pack([[v] for v in y]))
         return _unpack(*gram)[0][0]
 
     def __repr__(self):
@@ -240,9 +260,9 @@ def _present_quotient(sigma: Bicharacter, carrier_rows, relation_rows) -> Bichar
     tors_idx = [i for i in range(ell) if orders[i] >= 2]
     lifts = [lift_rows[i] for i in free_idx + tors_idx]
     group = FgGroup(len(free_idx), tuple(orders[i] for i in tors_idx))
-    lifted = _pmul((None, 1, lifts, None), _pack(sigma.exponents))
-    induced = _unpack(*_pmul(lifted, (None, 1, mat_transpose(lifts), None)))
-    return Bicharacter(group, [[Scalar(v.rat % 1, v.quad, v.d) for v in r] for r in induced])
+    lifted = _pmul((None, 1, lifts, None), sigma._packed)
+    d, den, a, b = _pmul(lifted, (None, 1, mat_transpose(lifts), None))
+    return Bicharacter._of_packed(group, _reduced(d, den, [[x % den for x in r] for r in a], b))
 
 
 def simple_quotient(sigma: Bicharacter) -> Bicharacter:
@@ -275,9 +295,9 @@ def _split_top_torsion(sigma: Bicharacter) -> tuple[Bicharacter, int]:
     m = group.torsion_orders[-1]
     # chi_t(e_i) = e(j_i / m): j_i from the packed row t, whose sqrt part
     # vanishes on a torsion row
-    d, den, (top,), _ = _pack([sigma.exponents[t]])
-    assert d is None and all(m * x % den == 0 for x in top)
-    jvals = [m * x // den % m for x in top]
+    _, den, a, b = sigma._packed
+    assert not (b and any(b[t])) and all(m * x % den == 0 for x in a[t])
+    jvals = [m * x // den % m for x in a[t]]
     assert math.gcd(*jvals, m) == 1, "a nondegenerate pairing has a partner for t"
     kernel = IntLattice(n, _mod_kernel([[j] for j in jvals], m, 1))
     relations = group.relation_rows()
@@ -288,17 +308,17 @@ def _split_top_torsion(sigma: Bicharacter) -> tuple[Bicharacter, int]:
 
 
 def _skew_from_exponents(sigma: Bicharacter) -> SkewMatrix:
-    """Skew representative of a pairing on a free group (same values mod Z)."""
-    e = sigma.exponents
-    n = len(e)
-    rows = [
-        [
-            e[i][j] if i < j else (-e[j][i] if i > j else Scalar(0))
-            for j in range(n)
+    """Skew representative of a pairing on a free group (same values mod Z):
+    the packed upper triangle, mirrored with its sign flipped."""
+    d, den, a, b = sigma._packed
+
+    def skew(mat):
+        return mat and [
+            [mat[i][j] if i < j else -mat[j][i] if i > j else 0 for j in range(len(mat))]
+            for i in range(len(mat))
         ]
-        for i in range(n)
-    ]
-    return SkewMatrix(rows)
+
+    return SkewMatrix(_unpack(d, den, skew(a), skew(b)))
 
 
 def trace_range_tga(sigma: Bicharacter) -> TraceRange:

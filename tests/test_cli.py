@@ -1,6 +1,8 @@
 import argparse
+import functools
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -43,6 +45,22 @@ def fraction_route(text, d):
     return Scalar(rat, quad, d if quad else None)
 
 
+def parts(x):
+    """(p, q, r, s) of a Scalar p/q + (r/s) rt, each part in lowest terms."""
+    return (x.rat.numerator, x.rat.denominator, x.quad.numerator, x.quad.denominator)
+
+
+def fraction_route_matrix(raw):
+    """The rows of a problem file, each entry by :func:`fraction_route`."""
+    field = re.search(r"^field sqrt ([0-9]+)$", raw, re.M)
+    d = int(field[1]) if field else None
+    return [
+        [fraction_route(w, d) for w in line.split()[1:]]
+        for line in raw.splitlines()
+        if line.startswith("row ")
+    ]
+
+
 class TestEntryParsing:
     @pytest.mark.parametrize(
         "text",
@@ -50,9 +68,9 @@ class TestEntryParsing:
          "-1/2-3/4*rt", "5*rt", "+0*rt", "-6/4+0/9*rt", "0-2/6*rt", "+7/1-010/4*rt"],
     )
     def test_matches_fraction_route(self, text):
-        got, want = parse_entry(text, 2, 1), fraction_route(text, 2)
-        assert (got.rat, got.quad, got.d) == (want.rat, want.quad, want.d)
-        assert type(got.rat) is type(got.quad) is Fraction
+        # each part in lowest terms, as a Fraction holds it
+        want = fraction_route(text, 2)
+        assert parse_entry(text, 2, 1) == parts(want)
 
     @pytest.mark.parametrize("text", ["1/0", "-0/0", "1/00", "1+1/0*rt", "1/0-1*rt", "3/0*rt"])
     def test_zero_denominator(self, text):
@@ -62,12 +80,13 @@ class TestEntryParsing:
             parse_entry(text, 2, 1)
 
     def test_forms(self):
-        assert parse_entry("0", 2, 1) == Scalar(0)
-        assert parse_entry("-3/5", None, 1) == Scalar(Fraction(-3, 5))
-        assert parse_entry("1*rt", 2, 1) == Scalar(0, 1, 2)
-        assert parse_entry("-1*rt", 2, 1) == Scalar(0, -1, 2)
-        assert parse_entry("1/2+3/4*rt", 2, 1) == Scalar(Fraction(1, 2), Fraction(3, 4), 2)
-        assert parse_entry("1/2-3/4*rt", 2, 1) == Scalar(Fraction(1, 2), Fraction(-3, 4), 2)
+        assert parse_entry("0", 2, 1) == (0, 1, 0, 1)
+        assert parse_entry("-3/5", None, 1) == (-3, 5, 0, 1)
+        assert parse_entry("1*rt", 2, 1) == (0, 1, 1, 1)
+        assert parse_entry("-1*rt", 2, 1) == (0, 1, -1, 1)
+        assert parse_entry("1/2+3/4*rt", 2, 1) == (1, 2, 3, 4)
+        assert parse_entry("1/2-3/4*rt", 2, 1) == (1, 2, -3, 4)
+        assert parse_entry("2/4-0/3*rt", None, 1) == (1, 2, 0, 1)
 
     def test_rejects(self):
         for bad in ("rt", "1.5", "1/", "1++2*rt", "*rt", "1 / 2", "\u0663", "1/\u0663", "1_0"):
@@ -170,10 +189,8 @@ class TestCommands:
         # the simple quotient, and the nondegeneracy checks of the quotient
         # and of the one splitting step
         calls = []
-        real = exactlin.integral_solution_lattice
-        monkeypatch.setattr(
-            twisted, "integral_solution_lattice", lambda *a: calls.append(a) or real(*a)
-        )
+        real = exactlin._integral_lattice
+        monkeypatch.setattr(twisted, "_integral_lattice", lambda *a: calls.append(a) or real(*a))
         f = str(PROBLEMS / "tga_z3_squared.txt")
         assert main(["decide", f, f]) == EXIT_OK
         assert capsys.readouterr().out == "EQUIVALENT mu=1\n"
@@ -184,10 +201,8 @@ class TestCommands:
         # one per Bicharacter: the input, its simple quotient, and the
         # result of each splitting step
         calls = []
-        real = exactlin.integral_solution_lattice
-        monkeypatch.setattr(
-            twisted, "integral_solution_lattice", lambda *a: calls.append(a) or real(*a)
-        )
+        real = exactlin._integral_lattice
+        monkeypatch.setattr(twisted, "_integral_lattice", lambda *a: calls.append(a) or real(*a))
         assert main(["invariants", str(PROBLEMS / name)]) == EXIT_OK
         capsys.readouterr()
         assert len(calls) == count
@@ -488,6 +503,119 @@ class TestCommands:
             main(["invariants", f1])
             runs.append(capsys.readouterr().out)
         assert runs[0] == runs[1]
+
+
+class TestPackedParse:
+    """The parser's one packed matrix against _pack of the Fraction route."""
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in PROBLEMS.glob("*.txt")))
+    def test_problem_files(self, name):
+        raw = (PROBLEMS / name).read_text()
+        assert cli._read_problem(raw)[1] == exactlin._pack(fraction_route_matrix(raw))
+
+    def test_seeded_entries(self):
+        rng = random.Random(127)
+        fixed = ["2/4", "-0/3", "+3*rt", "1/2-3/4*rt", "0", "-6/4+0/9*rt", "0*rt"]
+        long_num = ["7" * 4300, "-" + "1" * 4300 + "/3", "1/2+" + "9" * 4300 + "*rt"]
+
+        def part():
+            num = rng.choice(["0", "-0", "+1", "-12", str(rng.randint(-99, 99)), "0" * 3 + "8"])
+            return num + rng.choice(["", f"/{rng.randint(1, 60)}", "/1", "/0012"])
+
+        def entry(quad):
+            roll = rng.random()
+            if roll < 0.1:
+                return rng.choice(long_num if quad else long_num[:2])
+            if roll < 0.3:
+                return rng.choice(fixed if quad else ["2/4", "-0/3", "0", "-6/4"])
+            if not quad or roll < 0.5:
+                return part()
+            quad_part = rng.choice(["+", "-"]) + part().lstrip("+-") + "*rt"
+            return quad_part.lstrip("+") if rng.random() < 0.3 else part() + quad_part
+
+        for case in range(200):
+            n = rng.randint(0, 5)
+            quad = case % 2 == 0
+            header = "field sqrt 2" if quad else "field rational"
+            body = "".join(
+                "row " + " ".join(entry(quad) for _ in range(n)) + "\n" for _ in range(n)
+            )
+            raw = f"kind torus\n{header}\ndim {n}\n{body}"
+            assert cli._read_problem(raw) == (None, exactlin._pack(fraction_route_matrix(raw))), raw
+
+    @pytest.mark.parametrize(
+        "text, code, err",
+        [
+            # the stderr and exit code of each, pinned before the parser
+            # built packed integers
+            ("kind tga\nfield rational\ngroup free 0 torsion 3,3\nrow 0 1/3x\nrow -1/3 0\n",
+             1, "parse error: line 4: cannot parse entry '1/3x'\n"),
+            ("kind tga\nfield rational\ngroup free 0 torsion 3,3\nrow 0 1/0\nrow -1/3 0\n",
+             1, "parse error: line 4: zero denominator in entry '1/0'\n"),
+            ("kind tga\nfield rational\ngroup free 2 torsion -\nrow 0 1*rt\nrow -1*rt 0\n",
+             1, "parse error: line 4: entry uses rt but the field is rational\n"),
+            ("kind tga\nfield rational\ngroup free 0 torsion 3,3\nrow 0 1/3\nrow 1/3 0\n",
+             2, "invariant violation: matrix must be skew-symmetric modulo Z\n"),
+            ("kind tga\nfield sqrt 2\ngroup free 2 torsion -\nrow 1/2 1*rt\nrow -1*rt 0\n",
+             2, "invariant violation: diagonal exponents must be integers\n"),
+            ("kind tga\nfield rational\ngroup free 1 torsion 2\nrow 0 1/3\nrow -1/3 0\n",
+             2, "invariant violation: order-2 generator 1 pairs by a non m-th root\n"),
+            ("kind tga\nfield sqrt 2\ngroup free 1 torsion 2\nrow 0 1/2+1*rt\nrow -1/2-1*rt 0\n",
+             2, "invariant violation: order-2 generator 1 pairs by a non m-th root\n"),
+        ],
+        ids=["entry", "zero-denominator", "rt-in-rational", "non-skew", "diagonal", "root", "sqrt-root"],
+    )
+    def test_malformed_tga_exit(self, capsys, tmp_path, text, code, err):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert main(["invariants", str(bad)]) == code
+        assert capsys.readouterr() == ("", err)
+
+
+class TestOutputs:
+    def test_prints_integers_past_int_string_limit(self, capsys, tmp_path):
+        # g carries 2 * (4300 sevens), a number of 4301 digits
+        s = "7" * 4300
+        f = tmp_path / "big.txt"
+        f.write_text(
+            f"kind torus\nfield rational\ndim 4\nrow 0 {s} 1 0\nrow -{s} 0 0 0\n"
+            f"row -1 0 0 {s}\nrow 0 0 -{s} 0\n"
+        )
+        assert main(["canon", str(f)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert max(len(w.lstrip("-")) for w in out.split()) > 4300
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="int() has no string limit"
+    )
+    def test_reads_under_a_lower_int_string_limit(self, capsys, tmp_path, request):
+        # a 1000-digit entry is within MAX_DIGITS, whatever int()'s own limit
+        request.addfinalizer(functools.partial(sys.set_int_max_str_digits, sys.get_int_max_str_digits()))
+        sys.set_int_max_str_digits(640)
+        s = "3" * 1000
+        f = tmp_path / "big.txt"
+        f.write_text(f"kind torus\nfield rational\ndim 2\nrow 0 {s}/7\nrow -{s}/7 0\n")
+        assert main(["invariants", str(f)]) == EXIT_OK
+        assert capsys.readouterr().out.endswith(f"trace-range-basis 1/7\n")
+        assert main(["decide", str(f), str(f)]) == EXIT_OK
+        assert capsys.readouterr().out == "EQUIVALENT mu=1\n"
+        # the caller's limit is back
+        assert sys.get_int_max_str_digits() == 640
+
+    def test_closed_stdout_exits_quietly(self):
+        root = PROBLEMS.parent
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nctori", "canon", str(PROBLEMS / "four_torus_center0.txt")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=root,
+        )
+        # no reader is left before the interpreter has started
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
+        assert cli.EXIT_BROKEN_PIPE == 141
 
 
 class TestParserReuse:

@@ -7,9 +7,13 @@ import pytest
 
 from nctori import twisted
 from nctori.exactlin import (
+    IntLattice,
     Scalar,
+    _mod_kernel,
+    _pack,
     hnf,
     int_inverse_unimodular,
+    integral_solution_lattice,
     mat_identity,
     mat_mul,
     mat_transpose,
@@ -22,6 +26,7 @@ from nctori.twisted import (
     Bicharacter,
     FgGroup,
     InvalidBicharacter,
+    _skew_from_exponents,
     _split_top_torsion,
     hsigma,
     k_group_ranks_tga,
@@ -649,3 +654,88 @@ class TestPackedAgainstScalarOracle:
         packed = results()
         monkeypatch.setattr(twisted, "_present_quotient", oracle_present_quotient)
         assert results() == packed
+
+
+# The Scalar route of the twisted pipeline: every quotient is built by
+# oracle_present_quotient, each rational part taken mod 1 as a Scalar and the
+# result rebuilt through the public Bicharacter(group, rows) ------------------
+
+
+def scalar_route_simple_quotient(sigma):
+    n = sigma.group.ngens
+    kernel = integral_solution_lattice(sigma.exponents)
+    return oracle_present_quotient(sigma, mat_identity(n), [list(b) for b in kernel.basis])
+
+
+def scalar_route_split(sigma):
+    group = sigma.group
+    n = group.ngens
+    t = n - 1
+    m = group.torsion_orders[-1]
+    d, den, (top,), _ = _pack([sigma.exponents[t]])
+    assert d is None
+    jvals = [m * x // den % m for x in top]
+    kernel = IntLattice(n, _mod_kernel([[j] for j in jvals], m, 1))
+    relations = group.relation_rows()
+    relations.append([1 if i == t else 0 for i in range(n)])
+    return oracle_present_quotient(sigma, [list(b) for b in kernel.basis], relations), m
+
+
+def scalar_route_skew(sigma):
+    e = sigma.exponents
+    n = len(e)
+    return SkewMatrix(
+        [[e[i][j] if i < j else (-e[j][i] if i > j else Scalar(0)) for j in range(n)] for i in range(n)]
+    )
+
+
+DIFF_CHAINS = [(), (2,), (3,), (6,), (2, 4), (3, 6), (2, 2), (2, 2, 4), (6, 6, 6), (6,) * 8]
+
+
+class TestPackedRouteAgainstScalarRoute:
+    def assert_same(self, got, want):
+        assert got.group == want.group
+        assert got._packed == _pack(want.exponents)
+        assert got.exponents == want.exponents
+        assert got.kernel == want.kernel == integral_solution_lattice(want.exponents)
+        assert hsigma(got) == hsigma(want)
+
+    def test_differential(self):
+        rng = random.Random(131)
+        seen = {"quad": 0, "z6^8": 0, "steps": 0, "from_skew": 0}
+        for case in range(300):
+            quad = case % 2 == 1
+            if case % 10 == 0:
+                # a torus read as a bicharacter, through the packed from_skew
+                theta = random_skew(rng, rng.randint(0, 5), denom_max=8, quad_prob=0.5 if quad else 0)
+                rows = [list(r) for r in theta.rows]
+                sigma = Bicharacter.from_skew(theta)
+                seen["from_skew"] += 1
+            else:
+                group = FgGroup(rng.randint(0, 3), DIFF_CHAINS[case // 2 % len(DIFF_CHAINS)])
+                rows = random_exponents(rng, group, quad)
+                sigma = Bicharacter(group, rows)
+            seen["quad"] += sigma._packed[0] is not None
+            seen["z6^8"] += sigma.group.torsion_orders == (6,) * 8
+            want = Bicharacter(sigma.group, rows)
+            assert sigma.exponents == tuple(tuple(map(Scalar.of, r)) for r in rows)
+            self.assert_same(sigma, want)
+
+            got, want = simple_quotient(sigma), scalar_route_simple_quotient(want)
+            self.assert_same(got, want)
+            multiplier = 1
+            while want.group.torsion_orders:
+                (got, m1), (want, m2) = _split_top_torsion(got), scalar_route_split(want)
+                assert m1 == m2
+                self.assert_same(got, want)
+                multiplier *= m1
+                seen["steps"] += 1
+            assert not got.group.torsion_orders
+            skew = scalar_route_skew(want)
+            assert _skew_from_exponents(got) == skew
+            base = trace_range(skew)
+            assert trace_range_tga(sigma) == TraceRange._from_coords(
+                base.d, base.denom * multiplier, base.lattice.basis
+            )
+        assert seen["quad"] >= 40 and seen["z6^8"] >= 20 and seen["steps"] >= 300, seen
+        assert seen["from_skew"] == 30
