@@ -21,8 +21,8 @@ Commands:
     verify-paper-examples     replay the built-in reference inputs
 
 Exit codes: 0 success (Unknown verdicts included), 1 parse error,
-2 invariant violation, 3 verification failure, 141 stdout closed by its
-reader.  The environment variable
+2 invariant violation or out of memory, 3 verification failure, 141 stdout
+closed by its reader.  The environment variable
 SEARCH_HEIGHT (an integer in [0, 1000]) overrides the bounded mu-search
 height (default 20).
 """
@@ -439,6 +439,9 @@ def main(argv=None) -> int:
         # an undefined operation or a failed self-check: one line, no traceback
         detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
         print(f"invariant violation: {detail}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except MemoryError:
+        print("out of memory", file=sys.stderr)
         return EXIT_INVARIANT
     finally:
         if limit is not None:

@@ -4,8 +4,9 @@ A group is presented by its free rank r and a divisor chain of torsion
 orders; a skew-symmetric bicharacter is an exponent matrix E over the
 generators, pairing(g, h) = e(g @ E @ h^t) on exponent vectors.  Each
 Bicharacter computes its pairing-kernel lattice once, at construction; from
-it come the center, the simple quotient, the trace range (through
-matrix-algebra splitting of the torsion) and the equivalence decision.
+it come the center, the simple quotient, the trace range (read off its
+index for a finite quotient, else by matrix-algebra splitting of the
+torsion) and the equivalence decision.
 """
 
 from __future__ import annotations
@@ -181,8 +182,11 @@ class Bicharacter:
         return cls(FgGroup(theta.n), theta.rows)
 
     def pairing_exponent(self, x, y) -> Scalar:
-        """g @ E @ h^t for exponent vectors, one packed product; defined
-        modulo Z."""
+        """g @ E @ h^t for integer exponent vectors of length ngens, one
+        packed product; defined modulo Z.  The empty vector is the identity."""
+        x, y = int_row(x), int_row(y)
+        if {len(x), len(y)} - {0, self.group.ngens}:
+            raise ValueError(f"exponent vectors must have length {self.group.ngens}")
         if not x or not y:
             return Scalar(0)
         gram = _pmul(_pmul(_pack([x]), self._packed), _pack([[v] for v in y]))
@@ -271,7 +275,9 @@ def simple_quotient(sigma: Bicharacter) -> Bicharacter:
     out = _present_quotient(
         sigma, mat_identity(n), [list(b) for b in sigma.kernel.basis]
     )
-    assert hsigma(out) == (0, ()), "quotient pairing must be nondegenerate"
+    assert out.kernel.basis == tuple(map(tuple, out.group.relation_rows())), (
+        "quotient pairing must be nondegenerate"
+    )
     return out
 
 
@@ -303,7 +309,9 @@ def _split_top_torsion(sigma: Bicharacter) -> tuple[Bicharacter, int]:
     relations = group.relation_rows()
     relations.append([1 if i == t else 0 for i in range(n)])
     out = _present_quotient(sigma, [list(b) for b in kernel.basis], relations)
-    assert hsigma(out) == (0, ()), "splitting keeps the pairing nondegenerate"
+    assert out.kernel.basis == tuple(map(tuple, out.group.relation_rows())), (
+        "splitting keeps the pairing nondegenerate"
+    )
     return out, m
 
 
@@ -324,10 +332,19 @@ def _skew_from_exponents(sigma: Bicharacter) -> SkewMatrix:
 def trace_range_tga(sigma: Bicharacter) -> TraceRange:
     """Common image of K0 under the extremal traces.
 
-    Pipeline: pass to the simple quotient; split torsion generators off one
-    at a time, each contributing a matrix-algebra factor that scales the
-    range by 1/m; read the torsion-free remainder as a torus.
+    When the kernel lattice has full rank, the simple quotient is finite of
+    order the index [Z^N : ker], the product of the Hermite diagonal, and
+    its twisted algebra is M_k with k^2 that order (Kleppner 1965): the
+    range is (1/k)Z.  Otherwise pass to the simple quotient, split torsion
+    generators off one at a time, each a matrix-algebra factor that scales
+    the range by 1/m, and read the torsion-free remainder as a torus.
     """
+    lat = sigma.kernel
+    if lat.rank == lat.ambient_dim:
+        index = math.prod(row[i] for i, row in enumerate(lat.basis))
+        k = math.isqrt(index)
+        assert k * k == index, "a finite nondegenerate quotient has square order"
+        return TraceRange._from_coords(None, k, [(1, 0)])
     current = simple_quotient(sigma)
     multiplier = 1
     while current.group.torsion_orders:

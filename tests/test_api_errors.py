@@ -39,6 +39,8 @@ from nctori import (
 )
 from nctori.exactlin import complete_to_basis, left_kernel, solve_rows
 
+Z3_SQUARED = Bicharacter(FgGroup(0, (3, 3)), [[0, Fraction(1, 3)], [Fraction(-1, 3), 0]])
+
 NOT_INTEGRAL = {
     "IntLattice ambient": lambda: IntLattice(2.9),
     "IntLattice rows": lambda: IntLattice(2, [[1.5, 0]]),
@@ -55,6 +57,7 @@ NOT_INTEGRAL = {
     "FgGroup.from_relations": lambda: FgGroup.from_relations(2, [[2.5, 0]]),
     "ONNElement": lambda: ONNElement([[Fraction(3, 2)]], [[0]], [[0]], [[1]]),
     "CompatibleBasis": lambda: CompatibleBasis(1, ((2, 0),), ((0, Fraction(1, 2)),)),
+    "Bicharacter.pairing_exponent": lambda: Z3_SQUARED.pairing_exponent([1.5, 0], [0, 1]),
 }
 
 
@@ -129,6 +132,12 @@ ERRORS = {
     "FgGroup negative rank": (lambda: FgGroup(-1), ValueError, "nonnegative"),
     "Bicharacter shape": (
         lambda: Bicharacter(FgGroup(2), [[0]]), InvalidBicharacter, "must be 2x2"
+    ),
+    "Bicharacter.pairing_exponent long": (
+        lambda: Z3_SQUARED.pairing_exponent([1, 0, 0], [0, 1]), ValueError, "must have length 2"
+    ),
+    "Bicharacter.pairing_exponent short": (
+        lambda: Z3_SQUARED.pairing_exponent([1], [0, 1]), ValueError, "must have length 2"
     ),
     "normalize_cocycle not square": (
         lambda: normalize_cocycle([[0, 1]]), ValueError, "must be square"

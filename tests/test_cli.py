@@ -26,7 +26,10 @@ from nctori.reduction import ActionUndefined, SkewMatrix
 from nctori.twisted import Bicharacter, FgGroup
 from nctori.worked_examples import three_torus
 
+from conftest import random_skew
+
 PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def fraction_route(text, d):
@@ -185,27 +188,35 @@ class TestCommands:
         assert calls == []
 
     def test_decide_tga_builds_each_kernel_lattice_once(self, capsys, monkeypatch):
-        # per side: the input's pairing kernel, shared by the center rung and
-        # the simple quotient, and the nondegeneracy checks of the quotient
-        # and of the one splitting step
+        # per side, the input's pairing kernel, shared by the center rung and
+        # the trace range; the quotient is finite, so no quotient is built
         calls = []
         real = exactlin._integral_lattice
         monkeypatch.setattr(twisted, "_integral_lattice", lambda *a: calls.append(a) or real(*a))
         f = str(PROBLEMS / "tga_z3_squared.txt")
         assert main(["decide", f, f]) == EXIT_OK
         assert capsys.readouterr().out == "EQUIVALENT mu=1\n"
-        assert len(calls) == 6
+        assert len(calls) == 2
 
-    @pytest.mark.parametrize("name, count", [("tga_z3_squared.txt", 3), ("tga_z6_trivial.txt", 2)])
+    @pytest.mark.parametrize("name, count", [("tga_z3_squared.txt", 1), ("tga_z6_trivial.txt", 1)])
     def test_invariants_tga_builds_each_kernel_lattice_once(self, capsys, monkeypatch, name, count):
-        # one per Bicharacter: the input, its simple quotient, and the
-        # result of each splitting step
+        # a finite quotient: only the input's kernel, read off for the range
         calls = []
         real = exactlin._integral_lattice
         monkeypatch.setattr(twisted, "_integral_lattice", lambda *a: calls.append(a) or real(*a))
         assert main(["invariants", str(PROBLEMS / name)]) == EXIT_OK
         capsys.readouterr()
         assert len(calls) == count
+
+    def test_invariants_infinite_quotient_builds_each_kernel_lattice_once(self, capsys, monkeypatch):
+        # Z^2 over Q(sqrt 2) plus (Z/2)^2: one per Bicharacter, the input,
+        # its simple quotient and the result of the one splitting step
+        calls = []
+        real = exactlin._integral_lattice
+        monkeypatch.setattr(twisted, "_integral_lattice", lambda *a: calls.append(a) or real(*a))
+        assert main(["invariants", str(DATA / "tga_free2_sqrt2.txt")]) == EXIT_OK
+        capsys.readouterr()
+        assert len(calls) == 3
 
     def test_decide_mixed_kinds(self, capsys):
         code = main(
@@ -602,6 +613,36 @@ class TestOutputs:
         # the caller's limit is back
         assert sys.get_int_max_str_digits() == 640
 
+    def test_out_of_memory_exits_cleanly(self, tmp_path):
+        # a rational dim-30 torus asks for 2^30 Pfaffian slots, past a 1.5 GB
+        # address space: one stderr line and exit 2, no traceback
+        resource = pytest.importorskip("resource")
+        limit = 1536 << 20
+
+        def cap():
+            try:
+                resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+            except (ValueError, OSError):
+                pass
+
+        # a 4 GB mapping that is never touched costs nothing where the cap
+        # is not enforced, and fails where it is
+        probe = subprocess.run(
+            [sys.executable, "-c", "import mmap; mmap.mmap(-1, 4 << 30)"],
+            preexec_fn=cap, capture_output=True, timeout=60,
+        )
+        if probe.returncode == 0:
+            pytest.skip("RLIMIT_AS is not enforced here")
+        f = tmp_path / "dim30.txt"
+        f.write_text(format_torus(random_skew(random.Random(2), 30)))
+        root = PROBLEMS.parent
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "nctori", "invariants", str(f)],
+            preexec_fn=cap, capture_output=True, text=True, env=env, cwd=root, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_INVARIANT, "", "out of memory\n")
+
     def test_closed_stdout_exits_quietly(self):
         root = PROBLEMS.parent
         env = {**os.environ, "PYTHONPATH": str(root / "src")}
@@ -616,6 +657,29 @@ class TestOutputs:
         assert proc.wait(timeout=60) == 141
         assert err == b""
         assert cli.EXIT_BROKEN_PIPE == 141
+
+
+class TestSplitLoopFixture:
+    """Every sample tga file has a finite simple quotient; this fixture, Z^2
+    over Q(sqrt 2) plus (Z/2)^2, takes the quotient-and-split route."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["invariants", "tga_free2_sqrt2.txt"],
+            ["decide", "tga_free2_sqrt2.txt", "tga_free2_sqrt2_neg.txt"],
+        ],
+        ids=["invariants", "decide"],
+    )
+    def test_stdout_matches_fixture(self, capsys, monkeypatch, argv):
+        sections = re.split(r"^== (.*)\n", (DATA / "tga_free2_sqrt2_golden.txt").read_text(), flags=re.M)
+        want = dict(zip(sections[1::2], sections[2::2]))[" ".join(argv)]
+        splits = []
+        real = twisted._split_top_torsion
+        monkeypatch.setattr(twisted, "_split_top_torsion", lambda s: splits.append(s) or real(s))
+        code = main([argv[0], *(str(DATA / f) for f in argv[1:])])
+        assert f"{capsys.readouterr().out}exit {code}\n" == want
+        assert splits
 
 
 class TestParserReuse:

@@ -739,3 +739,51 @@ class TestPackedRouteAgainstScalarRoute:
             )
         assert seen["quad"] >= 40 and seen["z6^8"] >= 20 and seen["steps"] >= 300, seen
         assert seen["from_skew"] == 30
+
+
+# The quotient-and-split loop, kept as the oracle of trace_range_tga's
+# finite-quotient reading ----------------------------------------------------
+
+
+def split_loop_trace_range(sigma):
+    current = simple_quotient(sigma)
+    multiplier = 1
+    while current.group.torsion_orders:
+        current, m = _split_top_torsion(current)
+        multiplier *= m
+    base = trace_range(_skew_from_exponents(current))
+    return TraceRange._from_coords(base.d, base.denom * multiplier, base.lattice.basis)
+
+
+def random_chain(rng, length):
+    """A divisor chain of the given length, orders up to 6 * 3^4."""
+    chain = [rng.choice((2, 3, 4, 6))] if length else []
+    while len(chain) < length:
+        chain.append(chain[-1] * rng.choice((1, 1, 2, 3)))
+    return tuple(chain)
+
+
+class TestTraceRangeTgaAgainstSplitLoop:
+    def test_differential(self, monkeypatch):
+        quotients = []
+        real = twisted.simple_quotient
+        monkeypatch.setattr(twisted, "simple_quotient", lambda s: quotients.append(s) or real(s))
+        rng = random.Random(2207)
+        seen = {"finite": 0, "infinite": 0, "quad": 0, "trivial": 0}
+        for case in range(2000):
+            if case % 100 == 0:
+                sigma = Bicharacter(FgGroup(0), [])
+            else:
+                group = FgGroup(rng.randint(0, 3), random_chain(rng, rng.randint(0, 5)))
+                sigma = Bicharacter(group, random_exponents(rng, group, quad=case % 2 == 1))
+            quotients.clear()
+            got = trace_range_tga(sigma)
+            want = split_loop_trace_range(sigma)
+            assert (got.d, got.denom, got.lattice.basis) == (want.d, want.denom, want.lattice.basis)
+            finite = sigma.kernel.rank == sigma.group.ngens
+            assert quotients == ([] if finite else [sigma])
+            seen["finite" if finite else "infinite"] += 1
+            seen["quad"] += sigma._packed[0] is not None
+            seen["trivial"] += sigma.group.ngens == 0
+        assert seen["finite"] >= 1500 and seen["infinite"] >= 300, seen
+        assert seen["quad"] >= 300 and seen["trivial"] >= 20, seen
