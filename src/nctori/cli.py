@@ -37,7 +37,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .exactlin import Scalar, _unpack
+from .exactlin import Scalar
 from .invariants import (
     DEFAULT_SEARCH_HEIGHT,
     Verdict,
@@ -140,9 +140,7 @@ def _words(raw: str):
 def parse_problem(raw: str):
     """Parse a problem file into a SkewMatrix or a Bicharacter."""
     group, packed = _read_problem(raw)
-    if group is None:
-        return SkewMatrix(_unpack(*packed))
-    return Bicharacter._of_packed(group, packed)
+    return SkewMatrix._of_packed(packed) if group is None else Bicharacter._of_packed(group, packed)
 
 
 def _read_problem(raw: str):
@@ -228,14 +226,8 @@ def _read_problem(raw: str):
 
 
 def format_torus(theta: SkewMatrix) -> str:
-    d = None
-    for r in theta.rows:
-        for x in r:
-            if x.d is not None:
-                d = x.d
-    out = ["kind torus"]
-    out.append("field rational" if d is None else f"field sqrt {d}")
-    out.append(f"dim {theta.n}")
+    d = theta._packed[0]
+    out = ["kind torus", "field rational" if d is None else f"field sqrt {d}", f"dim {theta.n}"]
     for r in theta.rows:
         out.append("row " + " ".join(str(x) for x in r))
     return "\n".join(out) + "\n"

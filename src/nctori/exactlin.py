@@ -9,11 +9,13 @@ Conventions used throughout the package:
   inside they are integer pairs over one common denominator,
   (A + B*sqrt(d))/den with A and B integer matrices.  :func:`_pack` is the
   one converter from Scalars into that form and the one place that rejects
-  a second quadratic field; the problem-file parser builds the form from
-  its digits directly.  The packed operations _pmul, _pinv, _psolve, _pdet and _prank
-  stay in that form, so chains of them unpack once; smat_mul, smat_inv,
-  smat_det and smat_rank are their wrappers.  Every determinant, rank and
-  inverse comes from one fraction-free elimination, :func:`_bareiss`;
+  a second quadratic field; the problem-file parser builds the form from its
+  digits directly, and a SkewMatrix or Bicharacter holds it, its Scalar rows
+  a view.  The packed operations _pmul, _pinv, _psolve, _pdet and _prank stay
+  in that form over the least positive den (:func:`_reduced`), so chains of
+  them unpack once; smat_mul, smat_inv, smat_det and smat_rank are their
+  wrappers.  Every determinant, rank and inverse comes from one
+  fraction-free elimination, :func:`_bareiss`;
 * every integer congruence y @ N = 0 mod q (integral solutions, transporters
   of trace ranges, kernels of characters) is one :func:`_mod_kernel`.
 
@@ -262,6 +264,16 @@ def int_row(xs) -> list[int]:
     return ints
 
 
+def _int_matrix(rows, width: int | None = None) -> list[list[int]]:
+    """The rows as int lists (:func:`int_row`), each of length width, by default the first row's."""
+    mat = [int_row(r) for r in rows]
+    width = len(mat[0]) if width is None and mat else width
+    bad = next((len(r) for r in mat if len(r) != width), None)
+    if bad is not None:
+        raise ValueError(f"row of length {bad}, expected {width}")
+    return mat
+
+
 def mat_identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -283,7 +295,7 @@ def mat_mul(a, b) -> list[list]:
 
 def int_det(rows) -> int:
     """Exact determinant of a square integer matrix (see :func:`_bareiss`)."""
-    return _pdet((None, 1, [int_row(r) for r in rows], None))[0]
+    return _pdet((None, 1, _int_matrix(rows, len(rows)), None))[0]
 
 
 def _sub_row(mat, i, r, q):
@@ -356,9 +368,9 @@ def hnf(rows) -> tuple[list[list[int]], list[list[int]]]:
     Returns (H, U) with U unimodular and U @ M = H, read off the normal form
     of [M | I]; see :func:`_hermite` for the normalization and pivot rule.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [int_row(r) + [int(i == j) for j in range(m)] for i, r in enumerate(rows)]
+    mat = _int_matrix(rows)
+    m, n = len(mat), len(mat[0]) if mat else 0
+    aug = [r + [int(i == j) for j in range(m)] for i, r in enumerate(mat)]
     _hermite(aug, n)
     return [r[:n] for r in aug], [r[n:] for r in aug]
 
@@ -370,9 +382,8 @@ def snf(rows) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     entries s1 | s2 | ..., and U, V unimodular.  Same deterministic pivot
     rule as :func:`hnf`.
     """
-    mat = [int_row(r) for r in rows]
-    m = len(mat)
-    n = len(mat[0]) if m else 0
+    mat = _int_matrix(rows)
+    m, n = len(mat), len(mat[0]) if mat else 0
     u = mat_identity(m)
     v = mat_identity(n)
     t = 0
@@ -454,7 +465,7 @@ def _factor(rows) -> tuple[list[list[int]], list[list[int]]]:
     the triangular transform stays small where the Smith transforms grow.
     """
     m, k = len(rows), len(rows[0])
-    aug = _hermite([int_row(r) + [int(i == j) for j in range(m)] for i, r in enumerate(rows)], k)
+    aug = _hermite([r + [int(i == j) for j in range(m)] for i, r in enumerate(_int_matrix(rows))], k)
     rank = next((i for i, r in enumerate(aug) if not any(r[:k])), m)
     return aug[:rank], _hermite([r[k:] for r in aug[rank:]], m)
 
@@ -495,8 +506,8 @@ def solve_rows(a_rows, bs) -> list[list[int] | None]:
     piv_rows, kernel = _factor(a_rows)
     pivots = [next(j for j, x in enumerate(r) if x) for r in piv_rows]
     out = []
-    for b in bs:
-        v = int_row(b) + [0] * m
+    for b in _int_matrix(bs, k):
+        v = b + [0] * m
         for row, p in zip(piv_rows, pivots):
             c = v[p] // row[p]
             if c:
@@ -528,14 +539,7 @@ class IntLattice:
 
     def __init__(self, ambient_dim: int, rows=()):
         (ambient_dim,) = int_row([ambient_dim])
-        cleaned = []
-        for r in rows:
-            r = int_row(r)
-            if len(r) != ambient_dim:
-                raise ValueError(
-                    f"row of length {len(r)} in ambient Z^{ambient_dim}"
-                )
-            cleaned.append(r)
+        cleaned = _int_matrix(rows, ambient_dim)
         self.ambient_dim = ambient_dim
         self.basis = tuple(tuple(r) for r in _hermite(cleaned, ambient_dim) if any(r))
 
@@ -640,7 +644,7 @@ def complete_to_basis(rows, ambient: int) -> list[list[int]]:
     The returned ambient x ambient matrix is unimodular and starts with the
     given rows verbatim.
     """
-    rows = [int_row(r) for r in rows]
+    rows = _int_matrix(rows, ambient)
     r = len(rows)
     if r == 0:
         return mat_identity(ambient)
@@ -706,11 +710,13 @@ def _unpack(d, den, a, b) -> list[list[Scalar]]:
 
 
 def _reduced(d, den, a, b) -> tuple:
-    """The packed matrix over its least denominator, d = B = None once B
-    vanishes: the integers of a chain of packed operations do not grow."""
+    """The packed matrix over its least positive denominator, d = B = None
+    once B vanishes: the integers of a chain of packed operations do not grow."""
     if b is not None and not any(map(any, b)):
         d = b = None
     g = math.gcd(den, *(x for r in a for x in r), *(x for r in b or () for x in r))
+    if den < 0:
+        g = -g
     if g != 1:
         a = [[x // g for x in r] for r in a]
         b = b and [[x // g for x in r] for r in b]

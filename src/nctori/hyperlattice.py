@@ -183,15 +183,15 @@ def complete_isotropic_basis(lat: IntLattice) -> CompatibleBasis:
 _PRIMES = (2**61 - 1, 2**61 - 45, 2**61 - 229, 2**61 - 465, 2**61 - 829, 2**61 - 985)
 
 
-def _mod_q(p, ncols: int | None = None, shift: int = 0, pivot: bool = True, jordan: bool = False):
+def _mod_q(p, shift: int | None = None, jordan: bool = False):
     """One elimination of N - shift I mod q, N = A + B sqrt d the numerator of
     the packed p and q the first table prime where r = d^((q+1)/4) squares to
     d (q = 3 mod 4).  sqrt d -> r is a ring map Z[sqrt d] -> F_q, so what is
     nonzero mod q is nonzero exactly (von zur Gathen-Gerhard, Modern Computer
-    Algebra, ch. 5).  Returns (rank, det, rows): the pivots found in the first
-    ncols columns (without pivot, up to the first zero on the diagonal), their
+    Algebra, ch. 5).  Returns (rank, det, rows): the pivots found (with a
+    shift, without row swaps, up to the first zero on the diagonal), their
     signed product as a residue in (-q/2, q/2), and N mod q eliminated; with
-    jordan [F | E] ends as [I | F^-1 E].  (0, 0, None) when no prime fits."""
+    jordan the square [F | E] ends as [I | F^-1 E].  (0, 0, None) when no prime fits."""
     d, _, a, b = p
     q = next((q for q in _PRIMES if d is None or pow(d, (q + 1) // 2, q) == d % q), None)
     if q is None:
@@ -204,12 +204,12 @@ def _mod_q(p, ncols: int | None = None, shift: int = 0, pivot: bool = True, jord
     for k in range(len(m) if shift else 0):
         m[k][k] = (m[k][k] - shift) % q
     rank, det = 0, 1
-    for col in range((len(a[0]) if a else 0) if ncols is None else ncols):
+    for col in range(len(m) if jordan else len(a[0]) if a else 0):
         if rank == len(m):
             break
-        piv = next((i for i in (range(rank, len(m)) if pivot else (rank,)) if m[i][col]), None)
+        piv = next((i for i in (range(rank, len(m)) if shift is None else (rank,)) if m[i][col]), None)
         if piv is None:
-            if pivot:
+            if shift is None:
                 continue
             break
         if piv != rank:
@@ -238,7 +238,7 @@ def _sign_vector(p) -> tuple[int, ...]:
     """:func:`choose_sign_vector` on a packed A = N/den.  zeta = (1, ..., 1) when
     :func:`_mod_q` certifies every leading minor of N - den I nonzero;
     otherwise :func:`_exact_sign_vector` decides."""
-    if _mod_q(p, shift=p[1], pivot=False)[0] == len(p[2]):
+    if _mod_q(p, shift=p[1])[0] == len(p[2]):
         return (1,) * len(p[2])
     return _exact_sign_vector(p)
 
@@ -288,10 +288,8 @@ def _transversal(basis: CompatibleBasis, p) -> tuple[tuple, tuple]:
     uv = [[x + s * y for x, y in zip(e, f)] for s in (1, -1) for e, f in zip(basis.e, basis.f)]
     inv = mat_transpose([r[n:] + r[:n] for r in uv[:n]] + [[-x for x in r[n:] + r[:n]] for r in uv[n:]])
     coords = _pmul(p, (None, 2, inv, None))
-    rank, _, fe = _mod_q(coords, n, jordan=True)
-    if rank == n and _mod_q(
-        (coords[0], 1, [r[n:] for r in fe], None), shift=1, pivot=False
-    )[0] == n:
+    rank, _, fe = _mod_q(coords, jordan=True)
+    if rank == n and _mod_q((coords[0], 1, [r[n:] for r in fe], None), shift=1)[0] == n:
         zeta = (1,) * n
     else:
         try:

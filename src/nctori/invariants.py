@@ -72,14 +72,14 @@ class Verdict:
 # Pfaffians
 
 
-def _subset_pfaffians(theta: SkewMatrix):
-    """Pfaffians of every even principal submatrix of theta, as integer pairs.
+def _subset_pfaffians(packed):
+    """Pfaffians of every even principal submatrix of the packed
+    theta = (A + B sqrt d)/D, as integer pairs; only the upper triangle is
+    read, so the lower one may hold anything (a pairing's exponents mod Z).
 
-    Returns (d, D, pf).  D is the lcm of the entries' denominators, so D*theta
-    has entries a + b sqrt(d) with integers a, b, read from :func:`_pack`
-    (d is None when theta is rational).  A subset S of {0..n-1} is the
-    bitmask with bit i set for i in S; for |S| = 2k, pf[mask] = (a, b) with
-    Pf(theta_S) = (a + b sqrt d) / D^k, and pf[mask] is None for odd |S|.
+    A subset S of {0..n-1} is the bitmask with bit i set for i in S; for
+    |S| = 2k, pf[mask] = (a, b) with Pf(theta_S) = (a + b sqrt d) / D^k, and
+    pf[mask] is None for odd |S|.
 
     One pass over the masks in increasing order expands each along its
     lowest index i0: Pf(S) = sum over j in S, j > i0, of
@@ -87,15 +87,16 @@ def _subset_pfaffians(theta: SkewMatrix):
     of elements of S below j.  Both smaller masks come earlier, so every
     subset is evaluated once: O(n 2^n) products of integer pairs.
     """
-    d, D, num, quad = _pack(theta.rows)
+    d, _, num, quad = packed
+    n = len(num)
     sq = d or 0  # (sqrt d)^2; every b is 0 when theta is rational
-    quad = quad or [[0] * theta.n] * theta.n
+    quad = quad or [[0] * n] * n
     # upper[i]: (bit of j, a, b) for each nonzero entry D*theta[i][j] with j > i
     upper = [
         [(1 << j, x, y) for j, (x, y) in enumerate(zip(ra, rb)) if j > i and (x or y)]
         for i, (ra, rb) in enumerate(zip(num, quad))
     ]
-    pf = [None] * (1 << theta.n)
+    pf = [None] * (1 << n)
     pf[0] = (1, 0)
     for mask in range(1, len(pf)):
         if mask.bit_count() & 1:
@@ -115,7 +116,7 @@ def _subset_pfaffians(theta: SkewMatrix):
             else:
                 a, b = a + p, b + q
         pf[mask] = (a, b)
-    return d, D, pf
+    return pf
 
 
 def pfaffian(skew: SkewMatrix) -> Scalar:
@@ -123,8 +124,8 @@ def pfaffian(skew: SkewMatrix) -> Scalar:
     (:func:`_subset_pfaffians`), so O(n 2^n) work."""
     if skew.n % 2:
         raise ValueError("pfaffian needs an even-dimensional matrix")
-    d, D, pf = _subset_pfaffians(skew)
-    a, b = pf[-1]
+    d, D, _, _ = p = skew._packed
+    a, b = _subset_pfaffians(p)[-1]
     den = D ** (skew.n // 2)
     return Scalar(Fraction(a, den), Fraction(b, den), d)
 
@@ -257,8 +258,14 @@ def trace_range(theta: SkewMatrix) -> TraceRange:
     (:func:`_subset_pfaffians`, O(n 2^n) integer-pair products); a 2k-subset
     enters over the common denominator D^K, K = n // 2, as (a, b) * D^(K-k).
     """
-    d, D, pf = _subset_pfaffians(theta)
-    half = theta.n // 2
+    return _trace_range(theta._packed)
+
+
+def _trace_range(p) -> TraceRange:
+    """:func:`trace_range` of the packed theta = (A + B sqrt d)/D, upper triangle only."""
+    d, D, num, _ = p
+    pf = _subset_pfaffians(p)
+    half = len(num) // 2
     lift = [D ** (half - k) for k in range(half + 1)]
     coords = []
     for mask, pair in enumerate(pf):

@@ -9,14 +9,15 @@ from dataclasses import dataclass
 from .exactlin import (
     IntLattice,
     Scalar,
+    _integral_lattice,
     _pack,
     _pinv,
     _pmul,
     _psolve,
+    _reduced,
     _unpack,
     int_det,
     int_row,
-    integral_solution_lattice,
     mat_identity,
     mat_mul,
     mat_transpose,
@@ -39,26 +40,31 @@ class ActionUndefined(ArithmeticError):
 
 
 class SkewMatrix:
-    """An n x n skew-symmetric matrix of exact scalars."""
+    """An n x n skew-symmetric matrix of exact scalars, held packed like a
+    Bicharacter's exponents: (A + B sqrt d)/den as in :mod:`~nctori.exactlin`.
+    The checks run on the integers, and ``rows`` views it as Scalars."""
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "rows", "_packed")
 
     def __init__(self, rows):
-        rows = tuple(tuple(Scalar.of(x) for x in r) for r in rows)
-        n = len(rows)
-        for r in rows:
-            if len(r) != n:
-                raise ValueError("matrix must be square")
-        for i in range(n):
-            for j in range(i, n):
-                x, y = rows[i][j], rows[j][i]
-                # x = -y part by part, as Fractions are normalized; builds no -y
-                if (x.rat.numerator + y.rat.numerator or x.quad.numerator + y.quad.numerator
-                        or x.rat.denominator != y.rat.denominator
-                        or x.quad.denominator != y.quad.denominator or x.d != y.d):
-                    raise ValueError("matrix is not skew-symmetric")
-        self.n = n
-        self.rows = rows
+        self._setup(_pack(rows))
+
+    @classmethod
+    def _of_packed(cls, packed) -> "SkewMatrix":
+        """The skew matrix of a packed (d, den > 0, A, B), B None when rational."""
+        theta = object.__new__(cls)
+        theta._setup(packed)
+        return theta
+
+    def _setup(self, packed) -> None:
+        _, _, a, b = packed
+        n = len(a)
+        if any(len(r) != n for r in a):
+            raise ValueError("matrix must be square")
+        if any(m[i][j] + m[j][i] for m in (a, b or ()) for i in range(len(m)) for j in range(i, n)):
+            raise ValueError("matrix is not skew-symmetric")
+        self.n, self._packed = n, packed
+        self.rows = tuple(map(tuple, _unpack(*packed)))
 
     @classmethod
     def zero(cls, n: int) -> "SkewMatrix":
@@ -77,10 +83,14 @@ class SkewMatrix:
         return self.rows[i][j]
 
     def neg(self) -> "SkewMatrix":
-        return SkewMatrix([[-x for x in r] for r in self.rows])
+        d, den, *mats = self._packed  # -theta is the transpose of theta
+        return SkewMatrix._of_packed((d, den, *(m and mat_transpose(m) for m in mats)))
 
     def submatrix(self, idx) -> "SkewMatrix":
-        return SkewMatrix([[self.rows[i][j] for j in idx] for i in idx])
+        d, den, *mats = self._packed
+        idx = list(idx)
+        sub = (m and [[m[i][j] for j in idx] for i in idx] for m in mats)
+        return SkewMatrix._of_packed(_reduced(d, den, *sub))
 
     def column(self, j: int) -> list[Scalar]:
         return [self.rows[i][j] for i in range(self.n)]
@@ -201,13 +211,13 @@ def act(g: ONNElement, theta: SkewMatrix) -> SkewMatrix:
     """
     if g.n != theta.n:
         raise ValueError("dimension mismatch")
-    cd, ab = _action_parts(g, _pack(theta.rows))
+    cd, ab = _action_parts(g, theta._packed)
     try:
         cd_inv = _pinv(cd)
     except ValueError:
         raise ActionUndefined("C @ theta + D is singular") from None
     assert g.det_sign == 1, "a defined action forces membership in SO(n,n|Z)"
-    return SkewMatrix(_unpack(*_pmul(ab, cd_inv)))
+    return SkewMatrix._of_packed(_pmul(ab, cd_inv))
 
 
 def _action_parts(g: ONNElement, th) -> tuple:
@@ -251,7 +261,7 @@ class CanonicalForm:
 
 def degeneracy_subgroup(theta: SkewMatrix) -> IntLattice:
     """{x in Z^n : x @ theta in Z^n} (rank n - k in the canonical form)."""
-    return integral_solution_lattice([list(r) for r in theta.rows])
+    return _integral_lattice(theta._packed)
 
 
 def _acts_as(g: ONNElement, th, prime) -> bool:
@@ -270,10 +280,10 @@ def _acts_as(g: ONNElement, th, prime) -> bool:
 def _nondegenerate(p) -> bool:
     """{x in Z^k : x theta integral} = 0 for a packed k x k theta = (A + B sqrt d)/den.
     x theta integral needs x B = 0, so B of full rank mod q (:func:`_mod_q`)
-    certifies it; otherwise :func:`degeneracy_subgroup` decides."""
+    certifies it; otherwise the integral lattice (:func:`degeneracy_subgroup`) decides."""
     if p[3] is not None and _mod_q((None, 1, p[3], None))[0] == len(p[3]):
         return True
-    return degeneracy_subgroup(SkewMatrix(_unpack(*p))).rank == 0
+    return _integral_lattice(p).rank == 0
 
 
 def canonical_form(theta: SkewMatrix) -> CanonicalForm:
@@ -296,9 +306,8 @@ def canonical_form(theta: SkewMatrix) -> CanonicalForm:
     r = degen.rank
     k = n - r
 
-    # the matrices stay packed from here to theta'; theta is skew, so
-    # theta y = -(y theta) and column j of theta is minus its row j
-    d, den, ta, tb = th = _pack(theta.rows)
+    # theta is skew, so theta y = -(y theta) and column j of theta is minus its row j
+    d, den, ta, tb = th = theta._packed
     _, one, images, quad = _pmul((None, 1, [list(y) for y in degen.basis], None), th)
     assert one == 1 and quad is None, "the degeneracy lattice maps into Z^n"
     # M = {(theta y, y) : y in the degeneracy lattice}
@@ -329,16 +338,13 @@ def canonical_form(theta: SkewMatrix) -> CanonicalForm:
     coords = _pmul(graph, (None, 1, cols[n:] + cols[:n], None))
     pd, pden, pa, pb = _psolve(coords)
     pa, pb = mat_transpose(pa), pb and mat_transpose(pb)
-    prime = SkewMatrix(_unpack(pd, pden, pa, pb))
-    for i in range(n):
-        for j in range(n):
-            if (i < r or j < r) and prime.rows[i][j]:
-                raise AssertionError("reduced matrix must vanish on the M block")
+    if any(any(row) if i < r else any(row[:r]) for m in (pa, pb or ()) for i, row in enumerate(m)):
+        raise AssertionError("reduced matrix must vanish on the M block")
+    prime = SkewMatrix._of_packed((pd, pden, pa, pb))
     tilde = prime.submatrix(range(r, n))
 
     g = ONNElement._of_basis(newbase)
-    assert _acts_as(g, th, (pd, pden, pa, pb)), "independent routes to theta' must agree"
-    block = pd, pden, [row[r:] for row in pa[r:]], pb and [row[r:] for row in pb[r:]]
-    assert _nondegenerate(block), "reduced block is nondegenerate"
+    assert _acts_as(g, th, prime._packed), "independent routes to theta' must agree"
+    assert _nondegenerate(tilde._packed), "reduced block is nondegenerate"
     assert g.det_sign == 1
     return CanonicalForm(g=g, theta_prime=prime, k=k, theta_tilde=tilde)

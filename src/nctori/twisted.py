@@ -16,6 +16,7 @@ import math
 from .exactlin import (
     IntLattice,
     Scalar,
+    _int_matrix,
     _integral_lattice,
     _mod_kernel,
     _pack,
@@ -36,8 +37,8 @@ from .invariants import (
     REASON_DIMENSION,
     TraceRange,
     Verdict,
+    _trace_range,
     range_equal_up_to_scaling,
-    trace_range,
 )
 from .reduction import SkewMatrix
 
@@ -74,7 +75,7 @@ class FgGroup:
     @classmethod
     def from_relations(cls, num_generators: int, relation_rows) -> "FgGroup":
         """Quotient of Z^num_generators by the row span of the relations."""
-        rows = [int_row(r) for r in relation_rows]
+        rows = _int_matrix(relation_rows, num_generators)
         s, _, _ = snf(rows)
         divisors = [
             s[i][i]
@@ -179,7 +180,7 @@ class Bicharacter:
     @classmethod
     def from_skew(cls, theta: SkewMatrix) -> "Bicharacter":
         """The bicharacter of a noncommutative torus on Z^n."""
-        return cls(FgGroup(theta.n), theta.rows)
+        return cls._of_packed(FgGroup(theta.n), theta._packed)
 
     def pairing_exponent(self, x, y) -> Scalar:
         """g @ E @ h^t for integer exponent vectors of length ngens, one
@@ -198,13 +199,11 @@ class Bicharacter:
 
 def normalize_cocycle(rows) -> SkewMatrix:
     """Skew-symmetrization Theta - Theta^t of a cocycle exponent matrix on Z^n."""
-    mat = [[Scalar.of(x) for x in r] for r in rows]
-    n = len(mat)
-    if any(len(r) != n for r in mat):
+    d, den, a, b = _pack(rows)
+    if any(len(r) != len(a) for r in a):
         raise ValueError("cocycle exponent matrix must be square")
-    return SkewMatrix(
-        [[mat[i][j] - mat[j][i] for j in range(n)] for i in range(n)]
-    )
+    skew = (m and [[x - y for x, y in zip(r, c)] for r, c in zip(m, zip(*m))] for m in (a, b))
+    return SkewMatrix._of_packed(_reduced(d, den, *skew))
 
 
 def hsigma(sigma: Bicharacter) -> tuple[int, tuple[int, ...]]:
@@ -315,20 +314,6 @@ def _split_top_torsion(sigma: Bicharacter) -> tuple[Bicharacter, int]:
     return out, m
 
 
-def _skew_from_exponents(sigma: Bicharacter) -> SkewMatrix:
-    """Skew representative of a pairing on a free group (same values mod Z):
-    the packed upper triangle, mirrored with its sign flipped."""
-    d, den, a, b = sigma._packed
-
-    def skew(mat):
-        return mat and [
-            [mat[i][j] if i < j else -mat[j][i] if i > j else 0 for j in range(len(mat))]
-            for i in range(len(mat))
-        ]
-
-    return SkewMatrix(_unpack(d, den, skew(a), skew(b)))
-
-
 def trace_range_tga(sigma: Bicharacter) -> TraceRange:
     """Common image of K0 under the extremal traces.
 
@@ -337,7 +322,8 @@ def trace_range_tga(sigma: Bicharacter) -> TraceRange:
     its twisted algebra is M_k with k^2 that order (Kleppner 1965): the
     range is (1/k)Z.  Otherwise pass to the simple quotient, split torsion
     generators off one at a time, each a matrix-algebra factor that scales
-    the range by 1/m, and read the torsion-free remainder as a torus.
+    the range by 1/m, and read the torsion-free remainder as a torus (the
+    Pfaffians read only the upper triangle of the packed exponents).
     """
     lat = sigma.kernel
     if lat.rank == lat.ambient_dim:
@@ -350,7 +336,7 @@ def trace_range_tga(sigma: Bicharacter) -> TraceRange:
     while current.group.torsion_orders:
         current, m = _split_top_torsion(current)
         multiplier *= m
-    base = trace_range(_skew_from_exponents(current))
+    base = _trace_range(current._packed)
     return TraceRange._from_coords(base.d, base.denom * multiplier, base.lattice.basis)
 
 

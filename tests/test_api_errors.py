@@ -142,6 +142,27 @@ ERRORS = {
     "normalize_cocycle not square": (
         lambda: normalize_cocycle([[0, 1]]), ValueError, "must be square"
     ),
+    # integer matrices: ragged rows, a non-square determinant and rows of
+    # the wrong width are rejected, not misread
+    "int_det not square": (
+        lambda: int_det([[1, 2, 3], [4, 5, 6]]), ValueError, "row of length 3, expected 2"
+    ),
+    "int_det ragged": (lambda: int_det([[1, 2], [3]]), ValueError, "row of length 1, expected 2"),
+    "hnf ragged": (lambda: hnf([[1, 2], [3]]), ValueError, "row of length 1, expected 2"),
+    "snf ragged": (lambda: snf([[1, 2], [3]]), ValueError, "row of length 1, expected 2"),
+    "left_kernel ragged": (lambda: left_kernel([[1], [3, 4]]), ValueError, "row of length 2, expected 1"),
+    "solve_rows target length": (
+        lambda: solve_rows([[1, 2]], [[1, 2, 0]]), ValueError, "row of length 3, expected 2"
+    ),
+    "complete_to_basis ambient": (
+        lambda: complete_to_basis([[1, 0]], 3), ValueError, "row of length 2, expected 3"
+    ),
+    "FgGroup.from_relations long row": (
+        lambda: FgGroup.from_relations(1, [[0, 1]]), ValueError, "row of length 2, expected 1"
+    ),
+    "FgGroup.from_relations ragged": (
+        lambda: FgGroup.from_relations(2, [[2, 0], [0, 3, 5]]), ValueError, "row of length 3, expected 2"
+    ),
 }
 
 

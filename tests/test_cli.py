@@ -558,7 +558,8 @@ class TestPackedParse:
         "text, code, err",
         [
             # the stderr and exit code of each, pinned before the parser
-            # built packed integers
+            # built packed integers (the tga rows) and before a torus was
+            # checked on them (the torus rows)
             ("kind tga\nfield rational\ngroup free 0 torsion 3,3\nrow 0 1/3x\nrow -1/3 0\n",
              1, "parse error: line 4: cannot parse entry '1/3x'\n"),
             ("kind tga\nfield rational\ngroup free 0 torsion 3,3\nrow 0 1/0\nrow -1/3 0\n",
@@ -573,8 +574,15 @@ class TestPackedParse:
              2, "invariant violation: order-2 generator 1 pairs by a non m-th root\n"),
             ("kind tga\nfield sqrt 2\ngroup free 1 torsion 2\nrow 0 1/2+1*rt\nrow -1/2-1*rt 0\n",
              2, "invariant violation: order-2 generator 1 pairs by a non m-th root\n"),
+            ("kind torus\nfield rational\ndim 2\nrow 0 1/2\nrow 1/2 0\n",
+             2, "invariant violation: matrix is not skew-symmetric\n"),
+            ("kind torus\nfield rational\ndim 2\nrow 1 1/2\nrow -1/2 0\n",
+             2, "invariant violation: matrix is not skew-symmetric\n"),
+            ("kind torus\nfield sqrt 2\ndim 2\nrow 0 1/2+1*rt\nrow -1/2+1*rt 0\n",
+             2, "invariant violation: matrix is not skew-symmetric\n"),
         ],
-        ids=["entry", "zero-denominator", "rt-in-rational", "non-skew", "diagonal", "root", "sqrt-root"],
+        ids=["entry", "zero-denominator", "rt-in-rational", "non-skew", "diagonal", "root", "sqrt-root",
+             "torus-non-skew", "torus-diagonal", "torus-sqrt-non-skew"],
     )
     def test_malformed_tga_exit(self, capsys, tmp_path, text, code, err):
         bad = tmp_path / "bad.txt"

@@ -184,7 +184,7 @@ class TestCompatibleInverse:
             quad += not theta.is_rational()
             (_, base), (_, newbase) = seen["bases"]
             (((_, graph), _),) = seen["transversal"]
-            (((uv_coords, _), _),) = seen["graph_map"]
+            (((uv_coords,), _),) = seen["graph_map"]
             (((fe_coords,), _),) = seen["solve"]
             for b in (base, newbase):
                 n, rows = b.n, b.rows()
@@ -405,7 +405,7 @@ class TestModPCertificates:
             p = _pack(mat)
             exact = hyperlattice._exact_sign_vector(p)
             assert hyperlattice._sign_vector(p) == exact
-            cert = hyperlattice._mod_q(p, shift=p[1], pivot=False)[0] == len(mat)
+            cert = hyperlattice._mod_q(p, shift=p[1])[0] == len(mat)
             assert cert == (exact == (1,) * len(mat))
             certified += cert
         assert 1000 <= certified <= 1800
@@ -426,10 +426,11 @@ class TestModPCertificates:
         assert r * r % q == 2
         assert choose_sign_vector([[Scalar(q - r + 1, 1, 2)]]) == (1,)
         assert calls["sign"] == 2
-        # the determinant certificate pivots; a determinant of q decides nothing
+        # the determinant certificate pivots, a shifted one (shift=0 here) does
+        # not; a determinant of q decides nothing
         flip = (None, 1, [[0, 1], [q + 1, 0]], None)
         assert hyperlattice._mod_q(flip)[0] == 2
-        assert hyperlattice._mod_q(flip, pivot=False)[0] == 0
+        assert hyperlattice._mod_q(flip, shift=0)[0] == 0
         assert hyperlattice._mod_q((None, 1, [[q]], None))[0] == 0
         assert hyperlattice._mod_q((None, 1, [[1, 2], [2, 4]], None))[0] == 1
 
@@ -559,7 +560,7 @@ class TestModQCertificates:
             uv = [[x + s * y for x, y in zip(e, f)] for s in (1, -1) for e, f in zip(base.e, base.f)]
             coords = _pmul(graph, _pinv((None, 1, uv, None)))
             exact = exactlin._psolve(coords)
-            rank, _, fe = hyperlattice._mod_q(coords, n, jordan=True)
+            rank, _, fe = hyperlattice._mod_q(coords, jordan=True)
             assert rank == n
             assert [r[n:] for r in fe] == residues(exact, *table_root(coords[0]))
             zeta = hyperlattice._exact_sign_vector(exact)

@@ -88,10 +88,9 @@ class TestPfaffian:
             assert p1 * p1 == smat_det([list(r) for r in th.rows])
 
 
-# entries from Q(sqrt 2) and Q(sqrt 3) at once; each skew pair stays in one field
-_TWO_FIELDS = SkewMatrix(
-    [[0, RT2, RT3, 0], [-RT2, 0, 0, 1], [-RT3, 0, 0, 1], [0, -1, -1, 0]]
-)
+# entries from Q(sqrt 2) and Q(sqrt 3) at once; each skew pair stays in one
+# field.  A SkewMatrix is packed when it is built, so building it raises.
+_TWO_FIELDS = [[0, RT2, RT3, 0], [-RT2, 0, 0, 1], [-RT3, 0, 0, 1], [0, -1, -1, 0]]
 
 
 @pytest.mark.parametrize(
@@ -99,8 +98,8 @@ _TWO_FIELDS = SkewMatrix(
     [
         lambda: integral_solution_lattice([[RT2, 1], [0, RT3]]),
         lambda: TraceRange([1, RT2, RT3]),
-        lambda: trace_range(_TWO_FIELDS),
-        lambda: pfaffian(_TWO_FIELDS),
+        lambda: trace_range(SkewMatrix(_TWO_FIELDS)),
+        lambda: pfaffian(SkewMatrix(_TWO_FIELDS)),
     ],
     ids=["integral_solution_lattice", "TraceRange", "trace_range", "pfaffian"],
 )

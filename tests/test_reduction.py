@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nctori import exactlin, hyperlattice, invariants, reduction, twisted
-from nctori.exactlin import Scalar, _pack, int_det, mat_identity, mat_mul, mat_transpose
+from nctori.exactlin import IncompatibleField, Scalar, _pack, int_det, mat_identity, mat_mul, mat_transpose
 from nctori.hyperlattice import CompatibleBasis
 from nctori.invariants import degeneracy_subgroup
 from nctori.reduction import (
@@ -31,6 +31,9 @@ from conftest import random_skew
 from test_hyperlattice import random_so_element, seeded_sign_inputs
 
 
+_NOT_SKEW = (ValueError, "not skew-symmetric")
+
+
 class TestSkewMatrix:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
@@ -39,30 +42,31 @@ class TestSkewMatrix:
             SkewMatrix([[1]])
 
     def test_field_of_a_pair(self):
-        # a pair sqrt 2 / -sqrt 3 is not skew; entries of two fields in
-        # different pairs pass here and fail later, in the field arithmetic
+        # the matrix is packed when it is built, so entries of two fields
+        # raise there, in one skew pair (sqrt 2 / -sqrt 3) or in two
         rt2, rt3 = Scalar.sqrt(2), Scalar.sqrt(3)
-        with pytest.raises(ValueError, match="not skew-symmetric"):
-            SkewMatrix([[0, rt2], [-rt3, 0]])
-        mixed = SkewMatrix([[0, rt2, 0], [-rt2, 0, rt3], [0, -rt3, 0]])
-        assert mixed.entry(1, 2) == rt3
+        for rows in ([[0, rt2], [-rt3, 0]], [[0, rt2, 0], [-rt2, 0, rt3], [0, -rt3, 0]]):
+            with pytest.raises(IncompatibleField, match=r"cannot mix sqrt\(2\) with sqrt\(3\)"):
+                SkewMatrix(rows)
 
     @pytest.mark.parametrize(
-        "x, y",
+        "x, y, error",
         [
-            # each pair fails x = -y in one place only
-            (Scalar(Fraction(1, 2), 3, 2), Scalar(Fraction(1, 2), -3, 2)),
-            (Scalar(Fraction(1, 2), 3, 2), Scalar(Fraction(-1, 3), -3, 2)),
-            (Scalar(Fraction(1, 2), 3, 2), Scalar(Fraction(-1, 2), 3, 2)),
-            (Scalar(1, Fraction(3, 4), 2), Scalar(-1, Fraction(-3, 5), 2)),
-            (Scalar(Fraction(1, 2), 3, 2), Scalar(Fraction(-1, 2), -3, 3)),
+            # each pair fails x = -y in one place only; a second field is
+            # rejected when the matrix is packed, before the skew check
+            (Scalar(Fraction(1, 2), 3, 2), Scalar(Fraction(1, 2), -3, 2), _NOT_SKEW),
+            (Scalar(Fraction(1, 2), 3, 2), Scalar(Fraction(-1, 3), -3, 2), _NOT_SKEW),
+            (Scalar(Fraction(1, 2), 3, 2), Scalar(Fraction(-1, 2), 3, 2), _NOT_SKEW),
+            (Scalar(1, Fraction(3, 4), 2), Scalar(-1, Fraction(-3, 5), 2), _NOT_SKEW),
+            (Scalar(Fraction(1, 2), 3, 2), Scalar(Fraction(-1, 2), -3, 3),
+             (IncompatibleField, r"cannot mix sqrt\(2\) with sqrt\(3\)")),
         ],
         ids=["rational sign", "rational denominator", "sqrt sign", "sqrt denominator", "field"],
     )
-    def test_rejects_one_part_off(self, x, y):
+    def test_rejects_one_part_off(self, x, y, error):
         other = Scalar(Fraction(2, 3), Fraction(-1, 5), 2)
         rows = [[0, other, x], [-other, 0, 1], [y, -1, 0]]
-        with pytest.raises(ValueError, match="not skew-symmetric"):
+        with pytest.raises(error[0], match=error[1]):
             SkewMatrix(rows)
         rows[2][0] = -x
         assert SkewMatrix(rows).entry(2, 0) == -x
@@ -284,7 +288,7 @@ class TestCertificates:
         assert 300 <= verdicts.count(True) and 300 <= verdicts.count(False)
 
     def test_nondegenerate_fallback(self, monkeypatch):
-        calls = count_calls(monkeypatch, reduction, "degeneracy_subgroup")
+        calls = count_calls(monkeypatch, reduction, "_integral_lattice")
         q = hyperlattice._PRIMES[0]
         for x in (Scalar(0, 1, 59), Scalar(Fraction(1, 3), q, 2)):
             assert reduction._nondegenerate(_pack(SkewMatrix.from_upper(2, {(0, 1): x}).rows))
